@@ -268,6 +268,9 @@ double SeqVaeDetector::TrainStep(const std::vector<traj::EdgeId>& edges) {
 
   registry_.ClipGradNorm(config_.grad_clip);
   optimizer_->Step();
+  // DecodeNll steps the decoder through StepForward, which reads its
+  // packed weight copy (the encoder only runs the sequence Forward).
+  decoder_.Repack();
   return loss;
 }
 

@@ -27,7 +27,9 @@ void AsdNet::BuildState(const float* z, int prev_label, float* state) const {
 
 std::array<float, 2> AsdNet::ActionProbs(const float* z,
                                          int prev_label) const {
-  nn::Vec state(state_dim());
+  // Thread-local scratch, fully rewritten: no allocation per decision.
+  static thread_local nn::Vec state;
+  state.resize(state_dim());
   BuildState(z, prev_label, state.data());
   float logits[2];
   policy_.Forward(state.data(), logits);

@@ -367,7 +367,7 @@ void OnlineDetector::FeedBatch(std::span<Session* const> sessions,
   const size_t B = sessions.size();
   RL4_CHECK_EQ(edges.size(), B);
   if (B == 0) return;
-  if (B == 1) {  // GEMMs degenerate to the matvec path; skip the plumbing
+  if (B == 1) {  // a wave of one is the single-stream step; skip the plumbing
     const int label = sessions[0]->Feed(edges[0]);
     if (labels != nullptr) labels[0] = label;
     return;

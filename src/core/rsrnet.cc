@@ -122,6 +122,7 @@ double RsrNet::TrainStepCached(const std::vector<traj::EdgeId>& edges,
       ComputeGradients(edges, nrf, labels, cache->fwd, *caches, nullptr);
   registry_.ClipGradNorm(config_.grad_clip);
   optimizer_->Step();
+  rnn_->Repack();
   return loss;
 }
 
@@ -141,6 +142,7 @@ void RsrNet::ApplyWorkerGradients(nn::GradientSink* sink) {
   sink->AddToParams();
   registry_.ClipGradNorm(config_.grad_clip);
   optimizer_->Step();
+  rnn_->Repack();
   registry_.ZeroGrad();
   sink->Reset();
 }

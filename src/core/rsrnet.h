@@ -165,6 +165,11 @@ class RsrNet {
                         std::span<RsrStream* const> streams, nn::Matrix* z,
                         nn::Matrix* probs = nullptr) const;
 
+  /// Rebuilds the recurrent core's streaming copy of its weights (see
+  /// nn::Lstm::Repack). The Adam steps above do this themselves; call it
+  /// after writing the registry() parameters any other way (a bundle load).
+  void Repack() { rnn_->Repack(); }
+
   nn::ParameterRegistry* registry() { return &registry_; }
   float lr() const { return optimizer_->lr(); }
   void set_lr(float lr) { optimizer_->set_lr(lr); }

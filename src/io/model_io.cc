@@ -279,6 +279,7 @@ Result<std::unique_ptr<core::Rl4Oasd>> ReadModelBundle(
   model->mutable_preprocessor()->ImportState(snaps);
 
   RL4_RETURN_NOT_OK(ReadRegistry(r, model->mutable_rsrnet()->registry()));
+  model->mutable_rsrnet()->Repack();
   RL4_RETURN_NOT_OK(ReadRegistry(r, model->mutable_asdnet()->registry()));
   return model;
 }

@@ -18,25 +18,41 @@ Lstm::Lstm(std::string name, size_t input_dim, size_t hidden_dim,
   for (size_t i = 0; i < hidden_dim_; ++i) {
     b_.value(0, hidden_dim_ + i) = 1.0f;
   }
+  Repack();
 }
 
-void Lstm::ComputeGates(const float* x, const float* h_prev,
-                        float* gates) const {
-  MatVec(wx_.value, x, gates);
-  FinishGates(h_prev, gates);
+namespace {
+
+/// dst = src^T (dst is reshaped; every element rewritten).
+void TransposeInto(const Matrix& src, Matrix* dst) {
+  dst->EnsureShape(src.cols(), src.rows());
+  for (size_t r = 0; r < src.rows(); ++r) {
+    const float* row = src.Row(r);
+    for (size_t c = 0; c < src.cols(); ++c) (*dst)(c, r) = row[c];
+  }
+}
+
+}  // namespace
+
+void Lstm::Repack() {
+  TransposeInto(wx_.value, &wx_t_);
+  TransposeInto(wh_.value, &wh_t_);
 }
 
 void Lstm::FinishGates(const float* h_prev, float* gates) const {
   const size_t h4 = 4 * hidden_dim_;
   // gates = (Wx x + b) + Wh h_prev, with the recurrent dot product summed
-  // on its own before the single add — the same association the batched
-  // GEMM path uses (fresh product chain, added to C once), so the two
-  // paths agree bit-for-bit.
+  // on its own before the single add — the same association the GEMM
+  // paths use (fresh product chain, added to C once), so the sequence
+  // forward, the streaming step and the batched step agree bit-for-bit.
   for (size_t r = 0; r < h4; ++r) {
     gates[r] = gates[r] + b_.value(0, r) +
                Dot(wh_.value.Row(r), h_prev, hidden_dim_);
   }
-  // Activations: [i, f] sigmoid, [g] tanh, [o] sigmoid.
+  ActivateGates(gates);
+}
+
+void Lstm::ActivateGates(float* gates) const {
   const size_t H = hidden_dim_;
   for (size_t i = 0; i < H; ++i) gates[i] = Sigmoid(gates[i]);
   for (size_t i = H; i < 2 * H; ++i) gates[i] = Sigmoid(gates[i]);
@@ -46,8 +62,20 @@ void Lstm::FinishGates(const float* h_prev, float* gates) const {
 
 void Lstm::StepForward(const float* x, LstmState* state) const {
   const size_t H = hidden_dim_;
-  Vec gates(4 * H);
-  ComputeGates(x, state->h.data(), gates.data());
+  const size_t h4 = 4 * H;
+  // gates = (Wx x + b) + Wh h_prev as two 1-row GEMMs against the k-major
+  // copies: per gate the same ascending-k chains, in the same association,
+  // as FinishGates and StepForwardBatch, but vectorized across the 4H
+  // outputs. Thread-local scratch, fully rewritten: no per-step allocation.
+  static thread_local Vec gates;
+  gates.resize(h4);
+  Gemm(x, 1, input_dim_, input_dim_, wx_t_.data(), h4, h4, gates.data(), h4,
+       /*accumulate=*/false);
+  const float* b = b_.value.Row(0);
+  for (size_t r = 0; r < h4; ++r) gates[r] += b[r];
+  Gemm(state->h.data(), 1, H, H, wh_t_.data(), h4, h4, gates.data(), h4,
+       /*accumulate=*/true);
+  ActivateGates(gates.data());
   const float* ig = gates.data();
   const float* fg = gates.data() + H;
   const float* gg = gates.data() + 2 * H;
@@ -67,8 +95,8 @@ void Lstm::StepForwardBatch(const Matrix& x, Matrix* h_mat,
   RL4_CHECK_EQ(h_mat->cols(), B);
   RL4_CHECK_EQ(c_mat->rows(), H);
   RL4_CHECK_EQ(c_mat->cols(), B);
-  // Same accumulation order as the scalar ComputeGates: Wx x, then + b,
-  // then + Wh h_prev, then the activations. Thread-local scratch: fully
+  // Same accumulation order as StepForward: Wx x, then + b, then
+  // + Wh h_prev, then the activations. Thread-local scratch: fully
   // overwritten every call (MatMul resizes), so steady-state waves do no
   // allocation.
   static thread_local Matrix gates;  // 4H x B
@@ -101,8 +129,8 @@ std::vector<LstmStepCache> Lstm::Forward(
   if (T == 0) return caches;
   // Input projection for all timesteps in one GEMM: pack the inputs
   // feature-major (I x T) and compute Wx * X as (4H x T). Each element is
-  // the same ascending-k dot chain MatVec runs per step, so the gates are
-  // bit-identical to stepping ComputeGates.
+  // the same ascending-k chain StepForward's 1-row GEMM runs per step, so
+  // the gates are bit-identical to stepping StepForward.
   static thread_local Matrix xf;  // I x T
   static thread_local Matrix wxx;  // 4H x T
   xf.EnsureShape(input_dim_, T);

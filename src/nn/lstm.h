@@ -61,8 +61,19 @@ class Lstm {
   size_t hidden_dim() const { return hidden_dim_; }
 
   /// Streaming step: consumes x (length input_dim), updates `state` in place.
-  /// No caches are kept; use for inference only.
+  /// No caches are kept; use for inference only. The gate matmuls run as
+  /// 1-row GEMMs over the k-major weight copy (see Repack), which vectorize
+  /// across the 4H gate outputs; every gate is still the ascending-k product
+  /// chain of the sequence Forward, so the two are bit-identical.
   void StepForward(const float* x, LstmState* state) const;
+
+  /// Rebuilds the k-major copies StepForward reads (Wx^T: I x 4H,
+  /// Wh^T: H x 4H) from the parameters. Runs at construction; call it again
+  /// after every write to the registered parameters (an optimizer step, a
+  /// checkpoint load), or the streaming step keeps the old weights. The
+  /// training paths (Forward, the backward passes) and StepForwardBatch read
+  /// the parameters directly and never need it.
+  void Repack();
 
   /// Batched streaming step over B independent streams: x is (input_dim x B)
   /// with sample b in column b, and `state` carries (H x B) hidden/cell
@@ -81,7 +92,7 @@ class Lstm {
   /// Sequence forward from the zero state. Returns per-step caches (the
   /// hidden output of step t is caches[t].h). The input projection of all
   /// timesteps runs as one (4H x I) * (I x T) GEMM; the recurrent part is
-  /// inherently sequential. Bit-identical to stepping ComputeGates.
+  /// inherently sequential. Bit-identical to stepping StepForward.
   std::vector<LstmStepCache> Forward(
       const std::vector<const float*>& inputs) const;
 
@@ -113,19 +124,21 @@ class Lstm {
   }
 
  private:
-  /// Computes post-activation gates for one step into `gates` (length 4H).
-  void ComputeGates(const float* x, const float* h_prev, float* gates) const;
-
-  /// The recurrent tail of ComputeGates: `gates` already holds Wx x and
-  /// gets + b + Wh h_prev and the activations (shared by the streaming
-  /// step and the GEMM-projected sequence forward).
+  /// The recurrent tail of the sequence forward: `gates` already holds
+  /// Wx x and gets + b + Wh h_prev and the activations.
   void FinishGates(const float* h_prev, float* gates) const;
+
+  /// In-place activations of the 4H gate pre-activations: [i, f] sigmoid,
+  /// [g] tanh, [o] sigmoid (shared by FinishGates and StepForward).
+  void ActivateGates(float* gates) const;
 
   size_t input_dim_;
   size_t hidden_dim_;
   Parameter wx_;  // 4H x input_dim
   Parameter wh_;  // 4H x hidden_dim
   Parameter b_;   // 1 x 4H
+  Matrix wx_t_;   // input_dim x 4H, Repack's copy of wx_
+  Matrix wh_t_;   // hidden_dim x 4H, Repack's copy of wh_
 };
 
 }  // namespace rl4oasd::nn

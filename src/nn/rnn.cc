@@ -100,6 +100,8 @@ class LstmNet : public RecurrentNet {
     lstm_.RegisterParams(registry);
   }
 
+  void Repack() override { lstm_.Repack(); }
+
  private:
   Lstm lstm_;
 };

@@ -103,6 +103,12 @@ class RecurrentNet {
                            Matrix* d_x, GradientSink* sink = nullptr) = 0;
 
   virtual void RegisterParams(ParameterRegistry* registry) = 0;
+
+  /// Rebuilds whatever inference copy of the weights the streaming step
+  /// reads (the LSTM's k-major gate matrices; see Lstm::Repack). Call after
+  /// every write to the registered parameters. A no-op for cores whose step
+  /// reads the parameters directly.
+  virtual void Repack() {}
 };
 
 /// Factory. Parameter names are derived from `name` and the kind, so

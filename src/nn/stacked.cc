@@ -152,4 +152,10 @@ void StackedRnn::RegisterParams(ParameterRegistry* registry) {
   }
 }
 
+void StackedRnn::Repack() {
+  for (const auto& core : cores_) {
+    core->Repack();
+  }
+}
+
 }  // namespace rl4oasd::nn

@@ -49,6 +49,9 @@ class StackedRnn : public RecurrentNet {
 
   void RegisterParams(ParameterRegistry* registry) override;
 
+  /// Repacks every layer's core.
+  void Repack() override;
+
  private:
   class Cache;
 

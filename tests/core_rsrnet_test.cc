@@ -1,9 +1,11 @@
-// RSRNet tests: shapes, training reduces loss, streaming/sequence
-// equivalence, and embedding loading.
+// RSRNet tests: shapes, training reduces loss, bit-exact streaming/sequence
+// equivalence after every kind of weight write, and embedding loading.
 #include "core/rsrnet.h"
 
 #include <gtest/gtest.h>
 
+#include "core/rl4oasd.h"
+#include "io/model_io.h"
 #include "test_util.h"
 
 namespace rl4oasd::core {
@@ -51,15 +53,18 @@ TEST(RsrNetTest, NrfBitChangesRepresentation) {
   }
 }
 
+// A fixed supervised task: label 1 exactly on a contiguous span.
+const std::vector<traj::EdgeId> kTrainEdges = {1, 2, 3, 4, 5, 6, 7, 8};
+const std::vector<uint8_t> kTrainNrf = {0, 0, 1, 1, 1, 0, 0, 0};
+const std::vector<uint8_t> kTrainLabels = {0, 0, 1, 1, 1, 0, 0, 0};
+
 TEST(RsrNetTest, TrainingReducesLoss) {
   RsrNet net(TinyConfig(30));
-  // A fixed supervised task: label 1 exactly on a contiguous span.
-  const std::vector<traj::EdgeId> edges = {1, 2, 3, 4, 5, 6, 7, 8};
-  const std::vector<uint8_t> nrf = {0, 0, 1, 1, 1, 0, 0, 0};
-  const std::vector<uint8_t> labels = {0, 0, 1, 1, 1, 0, 0, 0};
-  const double before = net.Loss(edges, nrf, labels);
-  for (int i = 0; i < 60; ++i) net.TrainStep(edges, nrf, labels);
-  const double after = net.Loss(edges, nrf, labels);
+  const double before = net.Loss(kTrainEdges, kTrainNrf, kTrainLabels);
+  for (int i = 0; i < 60; ++i) {
+    net.TrainStep(kTrainEdges, kTrainNrf, kTrainLabels);
+  }
+  const double after = net.Loss(kTrainEdges, kTrainNrf, kTrainLabels);
   EXPECT_LT(after, before * 0.5);
   EXPECT_LT(after, 0.3);
 }
@@ -74,21 +79,80 @@ TEST(RsrNetTest, TrainStepReturnsLoss) {
   EXPECT_NEAR(loss, -std::log(0.5) /*untrained ~ uniform*/, 0.7);
 }
 
-TEST(RsrNetTest, StreamingMatchesSequenceForward) {
-  RsrNet net(TinyConfig(25));
+// The streaming step and the sequence forward run every gate as the same
+// ascending-k product chain, so their outputs are bit-identical; any
+// difference means the streaming step read a stale packed weight copy.
+void ExpectStreamingMatchesForward(const RsrNet& net) {
   const std::vector<traj::EdgeId> edges = {3, 7, 9, 11, 2};
   const std::vector<uint8_t> nrf = {0, 1, 1, 0, 0};
   const auto fwd = net.Forward(edges, nrf);
-  RsrStream stream(8);
+  RsrStream stream;
   for (size_t i = 0; i < edges.size(); ++i) {
     std::array<float, 2> probs;
     const auto z = net.StepForward(edges[i], nrf[i], &stream, &probs);
     ASSERT_EQ(z.size(), fwd.z[i].size());
     for (size_t d = 0; d < z.size(); ++d) {
-      EXPECT_NEAR(z[d], fwd.z[i][d], 1e-5f) << "step " << i << " dim " << d;
+      EXPECT_EQ(z[d], fwd.z[i][d]) << "step " << i << " dim " << d;
     }
-    EXPECT_NEAR(probs[0], fwd.probs[i][0], 1e-5f);
+    EXPECT_EQ(probs[0], fwd.probs[i][0]) << "step " << i;
+    EXPECT_EQ(probs[1], fwd.probs[i][1]) << "step " << i;
   }
+}
+
+TEST(RsrNetTest, StreamingMatchesSequenceForward) {
+  RsrNet net(TinyConfig(25));
+  ExpectStreamingMatchesForward(net);
+}
+
+TEST(RsrNetTest, StreamingMatchesSequenceForwardAfterTrainStep) {
+  RsrNet net(TinyConfig(25));
+  for (int i = 0; i < 5; ++i) {
+    net.TrainStep(kTrainEdges, kTrainNrf, kTrainLabels);
+  }
+  ExpectStreamingMatchesForward(net);
+}
+
+TEST(RsrNetTest, StreamingMatchesSequenceForwardAfterWorkerGradients) {
+  RsrNet net(TinyConfig(25));
+  nn::GradientSink sink(*net.registry());
+  net.registry()->ZeroGrad();
+  for (int i = 0; i < 3; ++i) {
+    net.AccumulateGradients(kTrainEdges, kTrainNrf, kTrainLabels, &sink);
+    net.ApplyWorkerGradients(&sink);
+  }
+  ExpectStreamingMatchesForward(net);
+}
+
+TEST(RsrNetTest, StreamingMatchesSequenceForwardStacked) {
+  RsrNetConfig cfg = TinyConfig(25);
+  cfg.num_layers = 2;
+  RsrNet net(cfg);
+  for (int i = 0; i < 5; ++i) {
+    net.TrainStep(kTrainEdges, kTrainNrf, kTrainLabels);
+  }
+  ExpectStreamingMatchesForward(net);
+}
+
+TEST(RsrNetTest, StreamingMatchesSequenceForwardAfterClone) {
+  const roadnet::RoadNetwork net = testing::SmallGrid();
+  Rl4OasdConfig cfg;
+  cfg.rsr = TinyConfig(0);  // num_edges comes from the network
+  Rl4Oasd model(&net, cfg);
+  for (int i = 0; i < 5; ++i) {
+    model.mutable_rsrnet()->TrainStep(kTrainEdges, kTrainNrf, kTrainLabels);
+  }
+  auto clone = io::CloneModel(&net, model);
+  ASSERT_TRUE(clone.ok()) << clone.status().ToString();
+  const RsrNet& cloned = (*clone)->rsrnet();
+  // The clone's sequence forward reproduces the trained original; its
+  // streaming step must too, though a missed repack would leave the clone
+  // constructor's fresh initialization in the packed copy.
+  const auto want = model.rsrnet().Forward(kTrainEdges, kTrainNrf);
+  const auto got = cloned.Forward(kTrainEdges, kTrainNrf);
+  for (size_t i = 0; i < want.probs.size(); ++i) {
+    EXPECT_EQ(got.probs[i][1], want.probs[i][1]) << "step " << i;
+  }
+  ExpectStreamingMatchesForward(cloned);
 }
 
 TEST(RsrNetTest, LoadTcfEmbeddings) {

@@ -238,7 +238,7 @@ TEST(LstmTest, StreamingMatchesSequenceForward) {
   for (size_t t = 0; t < T; ++t) {
     lstm.StepForward(xs[t].data(), &state);
     for (size_t i = 0; i < H; ++i) {
-      EXPECT_NEAR(state.h[i], caches[t].h[i], 1e-5f) << "t=" << t;
+      EXPECT_EQ(state.h[i], caches[t].h[i]) << "t=" << t;  // bit-identical
     }
   }
 }
