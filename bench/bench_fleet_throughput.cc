@@ -11,9 +11,9 @@
 //      acquisition per shard per batch instead of one per point.
 //   3. Micro-batch sweep (`--batch` runs just this): single-thread batched
 //      ingest with one point per trip per wave at batch width B in
-//      {1, 8, 32, 128}, points/s and us/point vs the scalar Feed baseline.
-//      The win is GEMM/cache efficiency — the fused (4H x I) * (I x B)
-//      gate matmuls vectorize over the batch dimension — not threading.
+//      {1, 8, 12, 32, 128}, points/s and us/point vs the scalar Feed
+//      baseline. One thread, so any difference is the fused
+//      (B x I) * (I x 4H) gate matmuls and the wave plumbing, not threading.
 //   4. Per-point cost vs trip length: alert extraction is incremental
 //      (O(1) amortized per point), so the cost of a 12800-segment trip's
 //      points matches a 100-segment trip's — the pre-incremental monitor
@@ -118,7 +118,8 @@ void RunBatchSweep(const core::Rl4Oasd& model,
   const double base_rate = static_cast<double>(base_fed) / base_s;
   printf("%-14s %14.0f %12.3f %9.2fx\n", "Feed (scalar)", base_rate,
          base_s * 1e6 / static_cast<double>(base_fed), 1.0);
-  for (const size_t width : {size_t{1}, size_t{8}, size_t{32}, size_t{128}}) {
+  for (const size_t width :
+       {size_t{1}, size_t{8}, size_t{12}, size_t{32}, size_t{128}}) {
     const auto [fed, s] = ReplayAtWidth(model, trips, width);
     const double rate = static_cast<double>(fed) / s;
     printf("FeedBatch B=%-3zu %13.0f %12.3f %9.2fx\n", width, rate,

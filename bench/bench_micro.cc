@@ -1,10 +1,11 @@
 // Microbenchmarks of the hot paths behind the paper's efficiency claims
 // (google-benchmark): LSTM streaming step, policy action, the full
 // per-point detector Feed, preprocessor lookups, discrete-Frechet row
-// update, and bounded shortest paths — plus batch sweeps (B in {1, 8, 32,
-// 128}) of the GEMM-backed batched inference path at each layer (LSTM cell,
-// RSRNet step, detector FeedBatch), reported per *point* so the batched
-// rows read directly against their streaming counterparts.
+// update, and bounded shortest paths — plus batch sweeps (B in {1, 8, 12,
+// 16, 32, 128}; 12 is the live workload's typical wave width) of the
+// GEMM-backed batched inference path at each layer (LSTM cell, RSRNet step,
+// detector FeedBatch), reported per *point* so the batched rows read
+// directly against their streaming counterparts.
 #include <cstdio>
 
 #include <benchmark/benchmark.h>
@@ -173,9 +174,15 @@ void BM_FleetFeed(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetFeed);
 
+/// The batch widths the batched rows sweep; 12 is the live workload's
+/// typical fused wave.
+void WaveWidths(benchmark::internal::Benchmark* b) {
+  for (const int64_t width : {1, 8, 12, 16, 32, 128}) b->Arg(width);
+}
+
 void BM_LstmStepBatch(benchmark::State& state) {
-  // Batched counterpart of BM_LstmStreamingStep: one fused (4H x I) x
-  // (I x B) step for B streams. items == points, so time-per-item is the
+  // Batched counterpart of BM_LstmStreamingStep: one fused (B x I) x
+  // (I x 4H) step for B streams. items == points, so time-per-item is the
   // per-point cost to compare against the streaming row.
   Rng rng(3);
   auto& f = Fixture();
@@ -184,14 +191,14 @@ void BM_LstmStepBatch(benchmark::State& state) {
   const auto B = static_cast<size_t>(state.range(0));
   nn::Lstm lstm("micro", embed, hidden, &rng);
   nn::LstmBatchState batch_state(hidden, B);
-  nn::Matrix x(embed, B, 0.1f);
+  nn::Matrix x(B, embed, 0.1f);
   for (auto _ : state) {
     lstm.StepForwardBatch(x, &batch_state);
     benchmark::DoNotOptimize(batch_state.h.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(B));
 }
-BENCHMARK(BM_LstmStepBatch)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_LstmStepBatch)->Apply(WaveWidths);
 
 void BM_RsrStepBatch(benchmark::State& state) {
   // Full batched RSRNet streaming step: embedding gather, fused recurrent
@@ -217,7 +224,7 @@ void BM_RsrStepBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(B));
 }
-BENCHMARK(BM_RsrStepBatch)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_RsrStepBatch)->Apply(WaveWidths);
 
 void BM_DetectorFeedBatch(benchmark::State& state) {
   // Batched counterpart of BM_DetectorPerPoint: B concurrent sessions
@@ -251,16 +258,18 @@ void BM_DetectorFeedBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(B));
 }
-BENCHMARK(BM_DetectorFeedBatch)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_DetectorFeedBatch)->Apply(WaveWidths);
 
 void BM_GemmKernel(benchmark::State& state) {
-  // The raw blocked GEMM at the LSTM gate shape (4H x I) * (I x B).
+  // The raw blocked GEMM at the shape the recurrent step runs:
+  // (B x I) * (I x 4H), B sample-major input rows times the k-major gate
+  // weights.
   auto& f = Fixture();
   const size_t embed = f.model.rsrnet().config().embed_dim;
   const size_t hidden = f.model.rsrnet().config().hidden_dim;
   const auto B = static_cast<size_t>(state.range(0));
-  nn::Matrix a(4 * hidden, embed, 0.01f);
-  nn::Matrix b(embed, B, 0.1f);
+  nn::Matrix a(B, embed, 0.1f);
+  nn::Matrix b(embed, 4 * hidden, 0.01f);
   nn::Matrix c;
   for (auto _ : state) {
     nn::MatMul(a, b, &c);
@@ -272,7 +281,7 @@ void BM_GemmKernel(benchmark::State& state) {
           static_cast<double>(4 * hidden * embed * B),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_GemmKernel)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_GemmKernel)->Apply(WaveWidths);
 
 void BM_ModelBundleSaveLoad(benchmark::State& state) {
   auto& f = Fixture();

@@ -48,9 +48,9 @@ class AsdNet {
 
   /// Batched policy evaluation: `z` is (z_dim x B) column-per-sample,
   /// `prev_labels` the matching previous labels; `probs` is resized to
-  /// (2 x B) with column b equal to ActionProbs on sample b (<= 1e-6
-  /// relative; see nn::Gemm's equivalence contract). The policy matmul of
-  /// all B samples runs as one GEMM.
+  /// (2 x B) with column b bit-identical to ActionProbs on sample b (see
+  /// nn::Gemm's equivalence contract). The policy matmul of all B samples
+  /// runs as one GEMM.
   void ActionProbsBatch(const nn::Matrix& z, std::span<const int> prev_labels,
                         nn::Matrix* probs) const;
 

@@ -32,27 +32,33 @@ void Preprocessor::IngestInto(GroupStats* g,
     }
   }
   g->route_count[RouteKey(t.edges)] += 1;
-  g->normal_set_stale = true;
 }
 
-void Preprocessor::RebuildNormalSet(const GroupStats& g, double delta) {
-  g.normal_transitions.clear();
-  g.normal_edges.clear();
-  for (const auto& [route_key, count] : g.route_count) {
+void Preprocessor::RebuildNormalSet(GroupStats* g, bool slot_group) const {
+  g->normal_transitions.clear();
+  g->normal_edges.clear();
+  // FindGroup answers a sparse slot group's queries from its SD pair's
+  // aggregate, so nothing ever reads that group's sets.
+  if (slot_group && g->num_trajs < config_.min_slot_support) return;
+  for (const auto& [route_key, count] : g->route_count) {
     const double fraction =
-        static_cast<double>(count) / static_cast<double>(g.num_trajs);
-    if (fraction <= delta) continue;
+        static_cast<double>(count) / static_cast<double>(g->num_trajs);
+    if (fraction <= config_.delta) continue;
     const size_t n = route_key.size() / sizeof(traj::EdgeId);
     const auto* edges =
         reinterpret_cast<const traj::EdgeId*>(route_key.data());
     for (size_t i = 0; i < n; ++i) {
-      g.normal_edges[edges[i]] = true;
+      g->normal_edges[edges[i]] = true;
       if (i > 0) {
-        g.normal_transitions[TransitionKey(edges[i - 1], edges[i])] = true;
+        g->normal_transitions[TransitionKey(edges[i - 1], edges[i])] = true;
       }
     }
   }
-  g.normal_set_stale = false;
+}
+
+void Preprocessor::RebuildAllNormalSets() {
+  for (auto& [key, g] : groups_) RebuildNormalSet(&g, /*slot_group=*/true);
+  for (auto& [sd, g] : all_slots_) RebuildNormalSet(&g, /*slot_group=*/false);
 }
 
 bool Preprocessor::EdgeOnNormalRouteAt(const traj::SdPair& sd,
@@ -60,7 +66,6 @@ bool Preprocessor::EdgeOnNormalRouteAt(const traj::SdPair& sd,
                                        traj::EdgeId edge) const {
   const GroupStats* g = FindGroup(sd, start_time);
   if (g == nullptr || g->num_trajs == 0) return false;
-  if (g->normal_set_stale) RebuildNormalSet(*g, config_.delta);
   return g->normal_edges.contains(edge);
 }
 
@@ -69,17 +74,29 @@ void Preprocessor::Fit(const traj::Dataset& historical) {
   groups_.clear();
   all_slots_.clear();
   for (const auto& lt : historical.trajs()) {
-    Update(lt.traj);
+    (void)Ingest(lt.traj);
   }
+  RebuildAllNormalSets();
 }
 
 void Preprocessor::Update(const traj::MapMatchedTrajectory& t) {
-  if (t.edges.size() < 2) return;
+  const auto [slot_group, aggregate] = Ingest(t);
+  if (slot_group == nullptr) return;
+  RebuildNormalSet(slot_group, /*slot_group=*/true);
+  RebuildNormalSet(aggregate, /*slot_group=*/false);
+}
+
+std::pair<GroupStats*, GroupStats*> Preprocessor::Ingest(
+    const traj::MapMatchedTrajectory& t) {
+  if (t.edges.size() < 2) return {nullptr, nullptr};
   ++stats_generation_;
   const GroupKey key{t.sd(),
                      traj::TimeSlotOf(t.start_time, config_.time_slot_hours)};
-  IngestInto(&groups_[key], t);
-  IngestInto(&all_slots_[t.sd()], t);
+  GroupStats* slot_group = &groups_[key];
+  GroupStats* aggregate = &all_slots_[t.sd()];
+  IngestInto(slot_group, t);
+  IngestInto(aggregate, t);
+  return {slot_group, aggregate};
 }
 
 const GroupStats* Preprocessor::FindGroup(const traj::SdPair& sd,
@@ -160,7 +177,6 @@ uint8_t Preprocessor::NormalRouteFeatureAt(const traj::SdPair& sd,
                                            traj::EdgeId cur) const {
   const GroupStats* g = FindGroup(sd, start_time);
   if (g == nullptr || g->num_trajs == 0) return 1;
-  if (g->normal_set_stale) RebuildNormalSet(*g, config_.delta);
   return g->normal_transitions.contains(TransitionKey(prev, cur)) ? 0 : 1;
 }
 
@@ -203,17 +219,8 @@ void Preprocessor::ImportState(const std::vector<GroupSnapshot>& snapshots) {
     g->num_trajs = s.num_trajs;
     g->transition_count.insert(s.transitions.begin(), s.transitions.end());
     g->route_count.insert(s.routes.begin(), s.routes.end());
-    g->normal_set_stale = true;
   }
-}
-
-void Preprocessor::WarmNormalRouteCaches() const {
-  for (const auto& [key, g] : groups_) {
-    if (g.normal_set_stale) RebuildNormalSet(g, config_.delta);
-  }
-  for (const auto& [sd, g] : all_slots_) {
-    if (g.normal_set_stale) RebuildNormalSet(g, config_.delta);
-  }
+  RebuildAllNormalSets();
 }
 
 }  // namespace rl4oasd::core

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "traj/dataset.h"
@@ -41,11 +42,12 @@ struct GroupStats {
   /// Distinct routes and their trajectory counts.
   std::unordered_map<std::string, int64_t> route_count;
   /// Transitions that occur on an inferred normal route (fraction > delta).
-  /// A lazily rebuilt cache: mutable so const readers can refresh it.
-  mutable std::unordered_map<int64_t, bool> normal_transitions;
+  /// Derived from route_count; every mutator rebuilds it before returning,
+  /// so const readers only ever read. Empty in a slot group below
+  /// min_slot_support, whose queries go to the SD pair's aggregate.
+  std::unordered_map<int64_t, bool> normal_transitions;
   /// Edges that lie on an inferred normal route (same rebuild).
-  mutable std::unordered_map<traj::EdgeId, bool> normal_edges;
-  mutable bool normal_set_stale = true;
+  std::unordered_map<traj::EdgeId, bool> normal_edges;
 };
 
 /// Serializable snapshot of one group's statistics. `slot == -1` denotes the
@@ -111,15 +113,8 @@ class Preprocessor {
   std::vector<GroupSnapshot> ExportState() const;
 
   /// Replaces all statistics with the given snapshots (inverse of
-  /// ExportState; derived normal-route caches are rebuilt lazily).
+  /// ExportState).
   void ImportState(const std::vector<GroupSnapshot>& snapshots);
-
-  /// Eagerly rebuilds every group's normal-route cache. The caches are
-  /// otherwise rebuilt lazily on first (const) query, which is a data race
-  /// when multiple threads share one preprocessor — concurrent servers
-  /// (serve::FleetMonitor) call this once after Fit/Update/ImportState so
-  /// that subsequent const queries are read-only.
-  void WarmNormalRouteCaches() const;
 
  private:
   struct GroupKey {
@@ -145,8 +140,16 @@ class Preprocessor {
   const GroupStats* FindGroup(const traj::SdPair& sd,
                               double start_time) const;
 
-  void IngestInto(GroupStats* g, const traj::MapMatchedTrajectory& t);
-  static void RebuildNormalSet(const GroupStats& g, double delta);
+  /// Adds `t` to its slot group and its SD pair's aggregate and returns
+  /// both, without rebuilding their normal-route sets; {null, null} when
+  /// `t` is too short to carry a transition.
+  std::pair<GroupStats*, GroupStats*> Ingest(
+      const traj::MapMatchedTrajectory& t);
+  static void IngestInto(GroupStats* g, const traj::MapMatchedTrajectory& t);
+  /// Rebuilds `g`'s normal-route sets from its route counts; a slot group
+  /// below min_slot_support keeps none (queries never reach it).
+  void RebuildNormalSet(GroupStats* g, bool slot_group) const;
+  void RebuildAllNormalSets();
 
   PreprocessConfig config_;
   uint64_t stats_generation_ = 0;

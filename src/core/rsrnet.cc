@@ -1,7 +1,6 @@
 #include "core/rsrnet.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/logging.h"
 #include "nn/stacked.h"
@@ -247,13 +246,12 @@ void RsrNet::StepForwardBatch(std::span<const traj::EdgeId> edges,
   const size_t N = config_.nrf_dim;
   const size_t S = rnn_->state_size();
 
-  // Gather: embedding columns and per-stream recurrent states (fresh
-  // streams are sized here, like the scalar path). Scratch buffers are
-  // thread-local and fully overwritten, so steady-state waves allocate
-  // nothing.
+  // Gather: embedding rows and per-stream recurrent states (fresh streams
+  // are sized here, like the scalar path). Scratch buffers are thread-local
+  // and fully overwritten, so steady-state waves allocate nothing.
   static thread_local std::vector<size_t> ids;
   static thread_local std::vector<nn::RnnState*> states;
-  static thread_local nn::Matrix x;  // embed_dim x B
+  static thread_local nn::Matrix x;  // B x embed_dim
   static thread_local nn::RnnBatchState batch_state;
   ids.resize(B);
   states.resize(B);
@@ -271,15 +269,16 @@ void RsrNet::StepForwardBatch(std::span<const traj::EdgeId> edges,
 
   batch_state.Scatter(states);
 
-  // z = [h_top; nrf]: the top layer's hidden block is the last H rows of
-  // the packed state (contiguous, full width), the NRF embedding scatters
-  // per column.
+  // z = [h_top; nrf], feature-major for the head and the policy: the top
+  // layer's hidden block is the last H columns of each state row, the NRF
+  // embedding fills the rest of the column.
   z->EnsureShape(H + N, B);
-  std::memcpy(z->data(), batch_state.h.Row(S - H), H * B * sizeof(float));
+  float* zd = z->data();
   for (size_t b = 0; b < B; ++b) {
+    const float* ht = batch_state.h.Row(b) + (S - H);
+    for (size_t r = 0; r < H; ++r) zd[r * B + b] = ht[r];
     const float* nv = nrf_embed_.Lookup(nrf_bits[b] ? 1 : 0);
-    float* col = z->data() + H * B + b;
-    for (size_t r = 0; r < N; ++r) col[r * B] = nv[r];
+    for (size_t r = 0; r < N; ++r) zd[(H + r) * B + b] = nv[r];
   }
   if (probs != nullptr) {
     head_.ForwardBatch(*z, probs);

@@ -153,11 +153,11 @@ class RsrNet {
                       std::array<float, 2>* probs) const;
 
   /// Batched streaming step over B independent trip streams: advances
-  /// streams[b] by edges[b]/nrf_bits[b] exactly as StepForward would
-  /// (<= 1e-6 relative; see nn::Gemm's equivalence contract), but with the
-  /// recurrent gate matmuls of all B streams fused into GEMMs. `z` is
-  /// resized to (z_dim x B), column b = z_b; `probs` (optional) is resized
-  /// to (2 x B) of softmaxed class probabilities. Streams may differ per
+  /// streams[b] by edges[b]/nrf_bits[b] bit-identically to StepForward, with
+  /// the recurrent gate matmuls of all B streams fused into GEMMs over
+  /// sample-major state rows (nn::RecurrentNet::StepRows). `z` is resized
+  /// to (z_dim x B), column b = z_b; `probs` (optional) is resized to
+  /// (2 x B) of softmaxed class probabilities. Streams may differ per
   /// call — the caller gathers whichever trips have a point to process, so
   /// ragged final batches are just smaller B.
   void StepForwardBatch(std::span<const traj::EdgeId> edges,

@@ -1,5 +1,7 @@
 #include "nn/embedding.h"
 
+#include <cstring>
+
 namespace rl4oasd::nn {
 
 Embedding::Embedding(std::string name, size_t vocab, size_t dim,
@@ -14,14 +16,9 @@ Embedding::Embedding(std::string name, size_t vocab, size_t dim,
 
 void Embedding::LookupBatch(std::span<const size_t> ids, Matrix* out) const {
   const size_t d = dim();
-  const size_t batch = ids.size();
-  out->EnsureShape(d, batch);
-  // Transposing gather: embedding rows scatter into columns of the
-  // feature-major batch matrix.
-  for (size_t b = 0; b < batch; ++b) {
-    const float* row = Lookup(ids[b]);
-    float* col = out->data() + b;
-    for (size_t r = 0; r < d; ++r) col[r * batch] = row[r];
+  out->EnsureShape(ids.size(), d);
+  for (size_t b = 0; b < ids.size(); ++b) {
+    std::memcpy(out->Row(b), Lookup(ids[b]), d * sizeof(float));
   }
 }
 

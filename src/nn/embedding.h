@@ -28,9 +28,9 @@ class Embedding {
     return param_.value.Row(id);
   }
 
-  /// Batched gather: `out` is resized to (dim x ids.size()) feature-major —
-  /// column b holds the embedding of ids[b] — ready to feed the batched
-  /// GEMM path as the (I x B) input block.
+  /// Batched gather: `out` is resized to (ids.size() x dim) sample-major —
+  /// row b holds the embedding of ids[b] — ready to feed the batched
+  /// recurrent step as the (B x I) input block.
   void LookupBatch(std::span<const size_t> ids, Matrix* out) const;
 
   /// Adds `grad` (length dim()) into the gradient row for `id`; `sink`

@@ -26,8 +26,8 @@ void Gru::ComputeGates(const float* x, const float* h_prev, float* gates,
                        float* q) const {
   // Pre-activations from the input path for all three blocks. Recurrent
   // contributions are summed as their own product chains and added once —
-  // the association the batched GEMM path uses, so the paths agree
-  // bit-for-bit.
+  // the association of the sequence Forward's GEMM input projection, so the
+  // streaming and sequence paths agree bit-for-bit.
   MatVec(wx_.value, x, gates);
   FinishGates(h_prev, gates, q);
 }
@@ -48,53 +48,29 @@ void Gru::FinishGates(const float* h_prev, float* gates, float* q) const {
   }
 }
 
-void Gru::StepForward(const float* x, GruState* state) const {
-  const size_t H = hidden_dim_;
-  Vec gates(3 * H);
-  Vec q(H);
-  ComputeGates(x, state->h.data(), gates.data(), q.data());
-  const float* z = gates.data();
-  const float* n = gates.data() + 2 * H;
-  for (size_t i = 0; i < H; ++i) {
-    state->h[i] = (1.0f - z[i]) * n[i] + z[i] * state->h[i];
-  }
+void Gru::StepForwardBatch(const Matrix& x, GruBatchState* state) const {
+  RL4_CHECK_EQ(x.cols(), input_dim_);
+  RL4_CHECK_EQ(state->h.rows(), x.rows());
+  RL4_CHECK_EQ(state->h.cols(), hidden_dim_);
+  StepRows(x.rows(), x.data(), input_dim_, state->h.data(), hidden_dim_);
 }
 
-void Gru::StepForwardBatch(const Matrix& x, Matrix* h_mat) const {
+void Gru::StepRows(size_t batch, const float* x, size_t ldx, float* h,
+                   size_t ld) const {
   const size_t H = hidden_dim_;
-  const size_t B = x.cols();
-  RL4_CHECK_EQ(x.rows(), input_dim_);
-  RL4_CHECK_EQ(h_mat->rows(), H);
-  RL4_CHECK_EQ(h_mat->cols(), B);
-  // Mirrors the scalar ComputeGates accumulation order per gate block:
-  // Wx x, then + b, then + U (h_prev or q), then the activation.
-  // Thread-local scratch, fully overwritten every call.
-  static thread_local Matrix gates;  // 3H x B
-  MatMul(wx_.value, x, &gates);
-  AddBiasPerRow(&gates, b_.value.Row(0));
-  const size_t hb = H * B;
-  float* g = gates.data();
-  const float* h_prev = h_mat->data();
-  // z and r blocks (rows [0, 2H)): += U h_prev, sigmoid.
-  Gemm(wh_.value.data(), 2 * H, H, wh_.value.cols(), h_prev, B, B, g, B,
-       /*accumulate=*/true);
-  for (size_t i = 0; i < 2 * hb; ++i) g[i] = Sigmoid(g[i]);
-  // q = r ⊙ h_prev feeds the candidate's recurrent term.
-  static thread_local Matrix q;
-  q.EnsureShape(H, B);
-  const float* r = g + hb;
-  float* qd = q.data();
-  for (size_t i = 0; i < hb; ++i) qd[i] = r[i] * h_prev[i];
-  // n block (rows [2H, 3H)): += Un q, tanh.
-  Gemm(wh_.value.Row(2 * H), H, H, wh_.value.cols(), qd, B, B, g + 2 * hb, B,
-       /*accumulate=*/true);
-  for (size_t i = 2 * hb; i < 3 * hb; ++i) g[i] = Tanh(g[i]);
-  // Blend: h = (1 - z) ⊙ n + z ⊙ h_prev.
-  const float* z = g;
-  const float* n = g + 2 * hb;
-  float* h = h_mat->data();
-  for (size_t i = 0; i < hb; ++i) {
-    h[i] = (1.0f - z[i]) * n[i] + z[i] * h[i];
+  // Thread-local scratch, fully rewritten per row.
+  static thread_local Vec gates;
+  static thread_local Vec q;
+  gates.resize(3 * H);
+  q.resize(H);
+  for (size_t s = 0; s < batch; ++s) {
+    float* hs = h + s * ld;
+    ComputeGates(x + s * ldx, hs, gates.data(), q.data());
+    const float* z = gates.data();
+    const float* n = gates.data() + 2 * H;
+    for (size_t i = 0; i < H; ++i) {
+      hs[i] = (1.0f - z[i]) * n[i] + z[i] * hs[i];
+    }
   }
 }
 

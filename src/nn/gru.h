@@ -19,13 +19,13 @@ struct GruState {
   void Reset() { std::fill(h.begin(), h.end(), 0.0f); }
 };
 
-/// Recurrent state of a batch of B streaming GRUs: a feature-major (H x B)
-/// matrix whose column b is sample b's hidden state.
+/// Recurrent state of a batch of B streaming GRUs: a sample-major (B x H)
+/// matrix whose row b is sample b's hidden state.
 struct GruBatchState {
-  Matrix h;  // H x B
+  Matrix h;  // B x H
 
   GruBatchState() = default;
-  GruBatchState(size_t hidden, size_t batch) : h(hidden, batch) {}
+  GruBatchState(size_t hidden, size_t batch) : h(batch, hidden) {}
   void Reset() { h.SetZero(); }
 };
 
@@ -51,19 +51,20 @@ class Gru {
   size_t hidden_dim() const { return hidden_dim_; }
 
   /// Streaming step (inference only; no caches kept).
-  void StepForward(const float* x, GruState* state) const;
-
-  /// Batched streaming step over B independent streams: x is (input_dim x B)
-  /// column-per-sample, `state->h` is (H x B), updated in place. The gate
-  /// matmuls become (3H x I) * (I x B) / (2H x H) * (H x B) / (H x H) *
-  /// (H x B) GEMMs; column b matches StepForward on sample b (<= 1e-6
-  /// relative; see Gemm's equivalence contract). Inference only.
-  void StepForwardBatch(const Matrix& x, GruBatchState* state) const {
-    StepForwardBatch(x, &state->h);
+  void StepForward(const float* x, GruState* state) const {
+    StepRows(1, x, input_dim_, state->h.data(), hidden_dim_);
   }
 
-  /// As above on a raw (H x B) hidden matrix.
-  void StepForwardBatch(const Matrix& x, Matrix* h) const;
+  /// Batched step over B independent streams: x is (B x input_dim) with
+  /// sample b in row b, `state->h` is (B x H), updated in place.
+  void StepForwardBatch(const Matrix& x, GruBatchState* state) const;
+
+  /// B streams stored sample-major (row b of `x` / `h`, row strides ldx /
+  /// ld), stepped one row at a time through the scalar gate matvecs: the
+  /// GRU serves only the architecture ablation, so it has no fused path,
+  /// and every row is trivially the single-stream step. Inference only.
+  void StepRows(size_t batch, const float* x, size_t ldx, float* h,
+                size_t ld) const;
 
   /// Sequence forward from the zero state. The input projection of all
   /// timesteps runs as one (3H x I) * (I x T) GEMM; bit-identical to

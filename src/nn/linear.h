@@ -20,8 +20,8 @@ class Linear {
   void Forward(const float* x, float* out) const;
 
   /// Batched forward: x is (in_dim x B) column-per-sample; out is resized to
-  /// (out_dim x B) with column b equal to Forward on x's column b (<= 1e-6
-  /// relative; see Gemm's equivalence contract).
+  /// (out_dim x B) with column b bit-identical to Forward on x's column b
+  /// (see Gemm's equivalence contract).
   void ForwardBatch(const Matrix& x, Matrix* out) const;
 
   /// Given d(out), accumulates dW += d_out outer x, db += d_out, and (when

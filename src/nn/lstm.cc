@@ -42,9 +42,9 @@ void Lstm::Repack() {
 void Lstm::FinishGates(const float* h_prev, float* gates) const {
   const size_t h4 = 4 * hidden_dim_;
   // gates = (Wx x + b) + Wh h_prev, with the recurrent dot product summed
-  // on its own before the single add — the same association the GEMM
-  // paths use (fresh product chain, added to C once), so the sequence
-  // forward, the streaming step and the batched step agree bit-for-bit.
+  // on its own before the single add — the same association StepRows'
+  // GEMMs use (fresh product chain, added to C once), so the sequence
+  // forward and the streaming step agree bit-for-bit.
   for (size_t r = 0; r < h4; ++r) {
     gates[r] = gates[r] + b_.value(0, r) +
                Dot(wh_.value.Row(r), h_prev, hidden_dim_);
@@ -60,64 +60,50 @@ void Lstm::ActivateGates(float* gates) const {
   for (size_t i = 3 * H; i < 4 * H; ++i) gates[i] = Sigmoid(gates[i]);
 }
 
-void Lstm::StepForward(const float* x, LstmState* state) const {
-  const size_t H = hidden_dim_;
-  const size_t h4 = 4 * H;
-  // gates = (Wx x + b) + Wh h_prev as two 1-row GEMMs against the k-major
-  // copies: per gate the same ascending-k chains, in the same association,
-  // as FinishGates and StepForwardBatch, but vectorized across the 4H
-  // outputs. Thread-local scratch, fully rewritten: no per-step allocation.
-  static thread_local Vec gates;
-  gates.resize(h4);
-  Gemm(x, 1, input_dim_, input_dim_, wx_t_.data(), h4, h4, gates.data(), h4,
-       /*accumulate=*/false);
-  const float* b = b_.value.Row(0);
-  for (size_t r = 0; r < h4; ++r) gates[r] += b[r];
-  Gemm(state->h.data(), 1, H, H, wh_t_.data(), h4, h4, gates.data(), h4,
-       /*accumulate=*/true);
-  ActivateGates(gates.data());
-  const float* ig = gates.data();
-  const float* fg = gates.data() + H;
-  const float* gg = gates.data() + 2 * H;
-  const float* og = gates.data() + 3 * H;
-  for (size_t i = 0; i < H; ++i) {
-    state->c[i] = fg[i] * state->c[i] + ig[i] * gg[i];
-    state->h[i] = og[i] * Tanh(state->c[i]);
-  }
+void Lstm::StepForwardBatch(const Matrix& x, LstmBatchState* state) const {
+  const size_t B = x.rows();
+  RL4_CHECK_EQ(x.cols(), input_dim_);
+  RL4_CHECK_EQ(state->h.rows(), B);
+  RL4_CHECK_EQ(state->h.cols(), hidden_dim_);
+  RL4_CHECK_EQ(state->c.rows(), B);
+  RL4_CHECK_EQ(state->c.cols(), hidden_dim_);
+  StepRows(B, x.data(), input_dim_, state->h.data(), state->c.data(),
+           hidden_dim_);
 }
 
-void Lstm::StepForwardBatch(const Matrix& x, Matrix* h_mat,
-                            Matrix* c_mat) const {
+void Lstm::StepRows(size_t batch, const float* x, size_t ldx, float* h,
+                    float* c, size_t ld) const {
   const size_t H = hidden_dim_;
-  const size_t B = x.cols();
-  RL4_CHECK_EQ(x.rows(), input_dim_);
-  RL4_CHECK_EQ(h_mat->rows(), H);
-  RL4_CHECK_EQ(h_mat->cols(), B);
-  RL4_CHECK_EQ(c_mat->rows(), H);
-  RL4_CHECK_EQ(c_mat->cols(), B);
-  // Same accumulation order as StepForward: Wx x, then + b, then
-  // + Wh h_prev, then the activations. Thread-local scratch: fully
-  // overwritten every call (MatMul resizes), so steady-state waves do no
-  // allocation.
-  static thread_local Matrix gates;  // 4H x B
-  MatMul(wx_.value, x, &gates);
-  AddBiasPerRow(&gates, b_.value.Row(0));
-  MatMulAccum(wh_.value, *h_mat, &gates);
-  float* g = gates.data();
-  const size_t hb = H * B;
-  for (size_t i = 0; i < hb; ++i) g[i] = Sigmoid(g[i]);                // i
-  for (size_t i = hb; i < 2 * hb; ++i) g[i] = Sigmoid(g[i]);           // f
-  for (size_t i = 2 * hb; i < 3 * hb; ++i) g[i] = Tanh(g[i]);     // g
-  for (size_t i = 3 * hb; i < 4 * hb; ++i) g[i] = Sigmoid(g[i]);       // o
-  const float* ig = g;
-  const float* fg = g + hb;
-  const float* gg = g + 2 * hb;
-  const float* og = g + 3 * hb;
-  float* c = c_mat->data();
-  float* h = h_mat->data();
-  for (size_t i = 0; i < hb; ++i) {
-    c[i] = fg[i] * c[i] + ig[i] * gg[i];
-    h[i] = og[i] * Tanh(c[i]);
+  const size_t h4 = 4 * H;
+  // gates = (X Wx^T + b) + H_prev Wh^T against the k-major copies: row b
+  // holds stream b's 4H pre-activations, each the same ascending-k chain,
+  // in the same association, as FinishGates. The recurrent GEMM reads every
+  // h row before the cell update below overwrites any. Thread-local
+  // scratch, fully rewritten: no per-step allocation.
+  static thread_local Matrix gates;  // batch x 4H
+  gates.EnsureShape(batch, h4);
+  Gemm(x, batch, input_dim_, ldx, wx_t_.data(), h4, h4, gates.data(), h4,
+       /*accumulate=*/false);
+  const float* bias = b_.value.Row(0);
+  for (size_t s = 0; s < batch; ++s) {
+    float* g = gates.Row(s);
+    for (size_t r = 0; r < h4; ++r) g[r] += bias[r];
+  }
+  Gemm(h, batch, H, ld, wh_t_.data(), h4, h4, gates.data(), h4,
+       /*accumulate=*/true);
+  for (size_t s = 0; s < batch; ++s) {
+    float* g = gates.Row(s);
+    ActivateGates(g);
+    const float* ig = g;
+    const float* fg = g + H;
+    const float* gg = g + 2 * H;
+    const float* og = g + 3 * H;
+    float* hs = h + s * ld;
+    float* cs = c + s * ld;
+    for (size_t i = 0; i < H; ++i) {
+      cs[i] = fg[i] * cs[i] + ig[i] * gg[i];
+      hs[i] = og[i] * Tanh(cs[i]);
+    }
   }
 }
 
@@ -129,8 +115,8 @@ std::vector<LstmStepCache> Lstm::Forward(
   if (T == 0) return caches;
   // Input projection for all timesteps in one GEMM: pack the inputs
   // feature-major (I x T) and compute Wx * X as (4H x T). Each element is
-  // the same ascending-k chain StepForward's 1-row GEMM runs per step, so
-  // the gates are bit-identical to stepping StepForward.
+  // the same ascending-k chain StepRows' GEMM runs per step, so the gates
+  // are bit-identical to stepping StepForward.
   static thread_local Matrix xf;  // I x T
   static thread_local Matrix wxx;  // 4H x T
   xf.EnsureShape(input_dim_, T);

@@ -3,7 +3,8 @@
 //   * Sequence mode (training): Lstm::Forward stores per-step caches so
 //     Lstm::Backward can run BPTT over the whole trajectory.
 //   * Streaming mode (online detection): LstmState carries (h, c) across
-//     incoming road segments; StepForward advances one segment in O(H^2).
+//     incoming road segments; StepForward advances one segment in O(H^2),
+//     and StepRows advances B independent streams at once.
 #pragma once
 
 #include <string>
@@ -25,16 +26,16 @@ struct LstmState {
   }
 };
 
-/// Recurrent state of a batch of B streaming LSTMs: feature-major (H x B)
-/// matrices whose column b is sample b's state, so the gate pre-activations
-/// of the whole batch are two GEMMs.
+/// Recurrent state of a batch of B streaming LSTMs, sample-major: row b of
+/// the (B x H) matrices is stream b's state, so the gate pre-activations of
+/// the whole batch are two GEMMs.
 struct LstmBatchState {
-  Matrix h;  // H x B
-  Matrix c;  // H x B
+  Matrix h;  // B x H
+  Matrix c;  // B x H
 
   LstmBatchState() = default;
   LstmBatchState(size_t hidden, size_t batch)
-      : h(hidden, batch), c(hidden, batch) {}
+      : h(batch, hidden), c(batch, hidden) {}
   void Reset() {
     h.SetZero();
     c.SetZero();
@@ -60,34 +61,36 @@ class Lstm {
   size_t input_dim() const { return input_dim_; }
   size_t hidden_dim() const { return hidden_dim_; }
 
-  /// Streaming step: consumes x (length input_dim), updates `state` in place.
-  /// No caches are kept; use for inference only. The gate matmuls run as
-  /// 1-row GEMMs over the k-major weight copy (see Repack), which vectorize
-  /// across the 4H gate outputs; every gate is still the ascending-k product
-  /// chain of the sequence Forward, so the two are bit-identical.
-  void StepForward(const float* x, LstmState* state) const;
-
-  /// Rebuilds the k-major copies StepForward reads (Wx^T: I x 4H,
-  /// Wh^T: H x 4H) from the parameters. Runs at construction; call it again
-  /// after every write to the registered parameters (an optimizer step, a
-  /// checkpoint load), or the streaming step keeps the old weights. The
-  /// training paths (Forward, the backward passes) and StepForwardBatch read
-  /// the parameters directly and never need it.
-  void Repack();
-
-  /// Batched streaming step over B independent streams: x is (input_dim x B)
-  /// with sample b in column b, and `state` carries (H x B) hidden/cell
-  /// matrices updated in place. The four gate matmuls of all B streams run
-  /// as one (4H x I) * (I x B) GEMM (plus the recurrent (4H x H) * (H x B)),
-  /// and column b's result matches StepForward on sample b's state (<= 1e-6
-  /// relative; see Gemm's equivalence contract). Inference only.
-  void StepForwardBatch(const Matrix& x, LstmBatchState* state) const {
-    StepForwardBatch(x, &state->h, &state->c);
+  /// Streaming step: consumes x (length input_dim), updates `state` in
+  /// place. The B = 1 call of StepRows; no caches are kept (inference only).
+  void StepForward(const float* x, LstmState* state) const {
+    StepRows(1, x, input_dim_, state->h.data(), state->c.data(), hidden_dim_);
   }
 
-  /// As above on raw (H x B) hidden/cell matrices (the RecurrentNet adapter
-  /// and StackedRnn own their state storage directly).
-  void StepForwardBatch(const Matrix& x, Matrix* h, Matrix* c) const;
+  /// Batched step over B independent streams: x is (B x input_dim) with
+  /// sample b in row b, and `state` carries (B x H) hidden/cell matrices
+  /// updated in place.
+  void StepForwardBatch(const Matrix& x, LstmBatchState* state) const;
+
+  /// The one streaming step body, over B streams stored sample-major: row b
+  /// of `x` (row stride ldx) is stream b's input and row b of `h`/`c` (row
+  /// stride ld) its state, updated in place (`x` must not overlap them).
+  /// The gates are `Gemm(X: B x I, Wx^T)` → `+ b` →
+  /// `Gemm(H: B x H, Wh^T, accumulate)` → activations over the k-major
+  /// weight copy (see Repack), so they vectorize across the 4H gate outputs
+  /// at every batch width. Every gate is the ascending-k product chain of
+  /// the sequence Forward, combined as (Wx x + b) + Wh h, so each row is
+  /// bit-identical to stepping that stream alone. Inference only.
+  void StepRows(size_t batch, const float* x, size_t ldx, float* h, float* c,
+                size_t ld) const;
+
+  /// Rebuilds the k-major copies StepRows reads (Wx^T: I x 4H,
+  /// Wh^T: H x 4H) from the parameters. Runs at construction; call it again
+  /// after every write to the registered parameters (an optimizer step, a
+  /// checkpoint load), or the streaming steps keep the old weights. The
+  /// training paths (Forward, the backward passes) read the parameters
+  /// directly and never need it.
+  void Repack();
 
   /// Sequence forward from the zero state. Returns per-step caches (the
   /// hidden output of step t is caches[t].h). The input projection of all
@@ -129,7 +132,7 @@ class Lstm {
   void FinishGates(const float* h_prev, float* gates) const;
 
   /// In-place activations of the 4H gate pre-activations: [i, f] sigmoid,
-  /// [g] tanh, [o] sigmoid (shared by FinishGates and StepForward).
+  /// [g] tanh, [o] sigmoid (shared by FinishGates and StepRows).
   void ActivateGates(float* gates) const;
 
   size_t input_dim_;

@@ -1,5 +1,7 @@
 #include "nn/rnn.h"
 
+#include <cstring>
+
 #include "common/logging.h"
 #include "nn/gru.h"
 #include "nn/lstm.h"
@@ -9,38 +11,36 @@ namespace rl4oasd::nn {
 void RnnBatchState::Gather(std::span<const RnnState* const> states,
                            size_t state_size) {
   const size_t batch = states.size();
-  if (h.rows() != state_size || h.cols() != batch) {
-    h.Resize(state_size, batch);
-    c.Resize(state_size, batch);
-  }
+  h.EnsureShape(batch, state_size);
+  c.EnsureShape(batch, state_size);
   for (size_t b = 0; b < batch; ++b) {
     RL4_CHECK_EQ(states[b]->h.size(), state_size);
-    float* hcol = h.data() + b;
-    float* ccol = c.data() + b;
-    const float* sh = states[b]->h.data();
-    const float* sc = states[b]->c.data();
-    for (size_t r = 0; r < state_size; ++r) {
-      hcol[r * batch] = sh[r];
-      ccol[r * batch] = sc[r];
-    }
+    std::memcpy(h.Row(b), states[b]->h.data(), state_size * sizeof(float));
+    std::memcpy(c.Row(b), states[b]->c.data(), state_size * sizeof(float));
   }
 }
 
 void RnnBatchState::Scatter(std::span<RnnState* const> states) const {
   const size_t batch = states.size();
-  RL4_CHECK_EQ(batch, h.cols());
-  const size_t state_size = h.rows();
+  RL4_CHECK_EQ(batch, h.rows());
+  const size_t state_size = h.cols();
   for (size_t b = 0; b < batch; ++b) {
     RL4_CHECK_EQ(states[b]->h.size(), state_size);
-    const float* hcol = h.data() + b;
-    const float* ccol = c.data() + b;
-    float* sh = states[b]->h.data();
-    float* sc = states[b]->c.data();
-    for (size_t r = 0; r < state_size; ++r) {
-      sh[r] = hcol[r * batch];
-      sc[r] = ccol[r * batch];
-    }
+    std::memcpy(states[b]->h.data(), h.Row(b), state_size * sizeof(float));
+    std::memcpy(states[b]->c.data(), c.Row(b), state_size * sizeof(float));
   }
+}
+
+void RecurrentNet::StepForwardBatch(const Matrix& x,
+                                    RnnBatchState* state) const {
+  const size_t B = x.rows();
+  const size_t S = state_size();
+  RL4_CHECK_EQ(x.cols(), input_dim());
+  RL4_CHECK_EQ(state->h.rows(), B);
+  RL4_CHECK_EQ(state->h.cols(), S);
+  RL4_CHECK_EQ(state->c.rows(), B);
+  RL4_CHECK_EQ(state->c.cols(), S);
+  StepRows(B, x.data(), x.cols(), state->h.data(), state->c.data(), S);
 }
 
 namespace {
@@ -66,18 +66,9 @@ class LstmNet : public RecurrentNet {
   size_t input_dim() const override { return lstm_.input_dim(); }
   size_t hidden_dim() const override { return lstm_.hidden_dim(); }
 
-  void StepForward(const float* x, RnnState* state) const override {
-    // Borrow the state vectors for the step to avoid copies.
-    LstmState s;
-    s.h = std::move(state->h);
-    s.c = std::move(state->c);
-    lstm_.StepForward(x, &s);
-    state->h = std::move(s.h);
-    state->c = std::move(s.c);
-  }
-
-  void StepForwardBatch(const Matrix& x, RnnBatchState* state) const override {
-    lstm_.StepForwardBatch(x, &state->h, &state->c);
+  void StepRows(size_t batch, const float* x, size_t ldx, float* h, float* c,
+                size_t ld) const override {
+    lstm_.StepRows(batch, x, ldx, h, c, ld);
   }
 
   std::unique_ptr<SeqCache> Forward(
@@ -127,15 +118,9 @@ class GruNet : public RecurrentNet {
   size_t input_dim() const override { return gru_.input_dim(); }
   size_t hidden_dim() const override { return gru_.hidden_dim(); }
 
-  void StepForward(const float* x, RnnState* state) const override {
-    GruState s;
-    s.h = std::move(state->h);
-    gru_.StepForward(x, &s);
-    state->h = std::move(s.h);
-  }
-
-  void StepForwardBatch(const Matrix& x, RnnBatchState* state) const override {
-    gru_.StepForwardBatch(x, &state->h);
+  void StepRows(size_t batch, const float* x, size_t ldx, float* h,
+                float* /*c*/, size_t ld) const override {
+    gru_.StepRows(batch, x, ldx, h, ld);
   }
 
   std::unique_ptr<SeqCache> Forward(

@@ -1,7 +1,8 @@
 // Recurrent-core abstraction over Lstm and Gru so RSRNet can swap its
 // sequence encoder (architecture ablation). The interface mirrors the two
-// concrete classes: a streaming step over an opaque RnnState, a sequence
-// forward that returns an opaque BPTT cache, and a Backward over that cache.
+// concrete classes: one streaming step body over B sample-major state rows
+// (a single RnnState is B = 1), a sequence forward that returns an opaque
+// BPTT cache, and a Backward over that cache.
 #pragma once
 
 #include <memory>
@@ -34,8 +35,8 @@ struct RnnState {
   }
 };
 
-/// Streaming state of B independent streams stacked feature-major: column b
-/// of the (state_size x B) matrices is stream b's RnnState vectors. Built by
+/// Streaming state of B independent streams stacked sample-major: row b of
+/// the (B x state_size) matrices is stream b's RnnState vectors. Built by
 /// gathering per-stream states, advanced by StepForwardBatch, scattered back.
 struct RnnBatchState {
   Matrix h;
@@ -43,13 +44,13 @@ struct RnnBatchState {
 
   RnnBatchState() = default;
   RnnBatchState(size_t state_size, size_t batch)
-      : h(state_size, batch), c(state_size, batch) {}
+      : h(batch, state_size), c(batch, state_size) {}
 
-  size_t batch() const { return h.cols(); }
+  size_t batch() const { return h.rows(); }
 
-  /// Copies states[b] (each of length state_size) into column b.
+  /// Copies states[b] (each of length state_size) into row b.
   void Gather(std::span<const RnnState* const> states, size_t state_size);
-  /// Copies column b back into states[b].
+  /// Copies row b back into states[b].
   void Scatter(std::span<RnnState* const> states) const;
 };
 
@@ -73,15 +74,24 @@ class RecurrentNet {
   /// cores pack one slice per layer; the top layer's slice is last).
   virtual size_t state_size() const { return hidden_dim(); }
 
-  /// Streaming step: consumes x (length input_dim), updates `state`.
-  virtual void StepForward(const float* x, RnnState* state) const = 0;
+  /// The streaming step body, over B independent streams stored
+  /// sample-major: row b of `x` (row stride ldx, input_dim wide) is stream
+  /// b's input and row b of `h`/`c` (row stride ld, state_size wide) its
+  /// state, updated in place. Every row is bit-identical to stepping that
+  /// stream alone. Inference only.
+  virtual void StepRows(size_t batch, const float* x, size_t ldx, float* h,
+                        float* c, size_t ld) const = 0;
 
-  /// Batched streaming step over B independent streams: x is
-  /// (input_dim x B) column-per-sample and `state` carries
-  /// (state_size x B) matrices. Column b's result matches StepForward on
-  /// stream b (<= 1e-6 relative; see Gemm's equivalence contract).
-  virtual void StepForwardBatch(const Matrix& x,
-                                RnnBatchState* state) const = 0;
+  /// Streaming step: consumes x (length input_dim), updates `state`, whose
+  /// vectors must be state_size long. The B = 1 call of StepRows.
+  void StepForward(const float* x, RnnState* state) const {
+    StepRows(1, x, input_dim(), state->h.data(), state->c.data(),
+             state->h.size());
+  }
+
+  /// Batched streaming step: x is (B x input_dim) with stream b in row b,
+  /// and `state` carries (B x state_size) matrices.
+  void StepForwardBatch(const Matrix& x, RnnBatchState* state) const;
 
   /// Sequence forward from the zero state, retaining caches for Backward.
   virtual std::unique_ptr<SeqCache> Forward(
@@ -104,8 +114,8 @@ class RecurrentNet {
 
   virtual void RegisterParams(ParameterRegistry* registry) = 0;
 
-  /// Rebuilds whatever inference copy of the weights the streaming step
-  /// reads (the LSTM's k-major gate matrices; see Lstm::Repack). Call after
+  /// Rebuilds whatever inference copy of the weights the streaming steps
+  /// read (the LSTM's k-major gate matrices; see Lstm::Repack). Call after
   /// every write to the registered parameters. A no-op for cores whose step
   /// reads the parameters directly.
   virtual void Repack() {}

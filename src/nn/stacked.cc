@@ -1,6 +1,5 @@
 #include "nn/stacked.h"
 
-#include <cstring>
 #include <utility>
 
 #include "common/logging.h"
@@ -36,62 +35,13 @@ StackedRnn::StackedRnn(RnnKind kind, const std::string& name,
   }
 }
 
-void StackedRnn::StepForward(const float* x, RnnState* state) const {
+void StackedRnn::StepRows(size_t batch, const float* x, size_t ldx, float* h,
+                          float* c, size_t ld) const {
   const size_t H = hidden_dim_;
-  const size_t L = cores_.size();
-  RL4_CHECK_EQ(state->h.size(), L * H);
-  Vec input(x, x + input_dim_);
-  RnnState layer_state(H);
-  for (size_t l = 0; l < L; ++l) {
-    std::memcpy(layer_state.h.data(), state->h.data() + l * H,
-                H * sizeof(float));
-    std::memcpy(layer_state.c.data(), state->c.data() + l * H,
-                H * sizeof(float));
-    cores_[l]->StepForward(input.data(), &layer_state);
-    std::memcpy(state->h.data() + l * H, layer_state.h.data(),
-                H * sizeof(float));
-    std::memcpy(state->c.data() + l * H, layer_state.c.data(),
-                H * sizeof(float));
-    input = layer_state.h;  // feeds the next layer
-  }
-  // Expose the top layer's hidden output where single-layer consumers read
-  // it: the last H entries already hold it (layer L-1's slice).
-}
-
-void StackedRnn::StepForwardBatch(const Matrix& x,
-                                  RnnBatchState* state) const {
-  const size_t H = hidden_dim_;
-  const size_t L = cores_.size();
-  const size_t B = x.cols();
-  RL4_CHECK_EQ(state->h.rows(), L * H);
-  RL4_CHECK_EQ(state->h.cols(), B);
-  // Layer slices are full-width row blocks, so each (H x B) layer state is
-  // one contiguous chunk of the packed matrices. Each layer's output is
-  // swapped (O(1)) into `carry` to feed the next layer; the state matrices
-  // get it via the write-back memcpy, so no full input copies are made.
-  // Thread-local scratch (fully rewritten per layer), so steady-state
-  // waves allocate nothing.
-  static thread_local RnnBatchState layer_state;
-  static thread_local Matrix carry;
-  layer_state.h.EnsureShape(H, B);
-  layer_state.c.EnsureShape(H, B);
-  const Matrix* input = &x;
-  const size_t block = H * B;
-  for (size_t l = 0; l < L; ++l) {
-    std::memcpy(layer_state.h.data(), state->h.Row(l * H),
-                block * sizeof(float));
-    std::memcpy(layer_state.c.data(), state->c.Row(l * H),
-                block * sizeof(float));
-    cores_[l]->StepForwardBatch(*input, &layer_state);
-    std::memcpy(state->h.Row(l * H), layer_state.h.data(),
-                block * sizeof(float));
-    std::memcpy(state->c.Row(l * H), layer_state.c.data(),
-                block * sizeof(float));
-    if (l + 1 < L) {
-      std::swap(carry, layer_state.h);  // feeds the next layer
-      layer_state.h.EnsureShape(H, B);  // swap may leave a stale shape
-      input = &carry;
-    }
+  for (size_t l = 0; l < cores_.size(); ++l) {
+    cores_[l]->StepRows(batch, x, ldx, h + l * H, c + l * H, ld);
+    x = h + l * H;  // feeds the next layer
+    ldx = ld;
   }
 }
 

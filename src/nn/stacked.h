@@ -28,12 +28,12 @@ class StackedRnn : public RecurrentNet {
   /// Total streaming-state length (layers * hidden per vector).
   size_t state_size() const override { return cores_.size() * hidden_dim_; }
 
-  void StepForward(const float* x, RnnState* state) const override;
-
-  /// Batched streaming step: state matrices are (layers * hidden) x B with
-  /// layer l's slice in rows [l*H, (l+1)*H) — the same packing as the
-  /// scalar state vectors, so the top layer's output is the last H rows.
-  void StepForwardBatch(const Matrix& x, RnnBatchState* state) const override;
+  /// Steps each layer in place on its slice of the state rows: layer l's
+  /// state is columns [l*H, (l+1)*H) of every row, and its fresh hidden
+  /// slice is the next layer's input, so the top layer's output is the
+  /// last H columns.
+  void StepRows(size_t batch, const float* x, size_t ldx, float* h, float* c,
+                size_t ld) const override;
 
   std::unique_ptr<SeqCache> Forward(
       const std::vector<const float*>& inputs) const override;

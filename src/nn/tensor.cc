@@ -138,14 +138,6 @@ void MatMul(const Matrix& a, const Matrix& b, Matrix* c) {
        c->data(), c->cols(), /*accumulate=*/false);
 }
 
-void MatMulAccum(const Matrix& a, const Matrix& b, Matrix* c) {
-  RL4_CHECK_EQ(a.cols(), b.rows());
-  RL4_CHECK_EQ(c->rows(), a.rows());
-  RL4_CHECK_EQ(c->cols(), b.cols());
-  Gemm(a.data(), a.rows(), a.cols(), a.cols(), b.data(), b.cols(), b.cols(),
-       c->data(), c->cols(), /*accumulate=*/true);
-}
-
 void AddBiasPerRow(Matrix* c, const float* bias) {
   const size_t rows = c->rows();
   const size_t cols = c->cols();

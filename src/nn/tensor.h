@@ -1,8 +1,8 @@
 // Dense row-major float matrix plus the vector and matrix kernels the
-// networks need: matrix-vector products and elementwise ops for the
-// streaming (single-sample) paths, and a blocked GEMM for the batched
-// inference path, where B stacked samples are laid out column-wise so the
-// recurrent gate matmuls become one (4H x I) * (I x B) product.
+// networks need: matrix-vector products and elementwise ops, and a blocked
+// GEMM for the recurrent step (B sample-major input rows times the k-major
+// gate weights, (B x I) * (I x 4H)), the feature-major heads and the
+// sequence-packed training passes.
 #pragma once
 
 #include <algorithm>
@@ -79,20 +79,18 @@ void MatVec(const Matrix& m, const float* x, float* y);
 ///
 /// Equivalence contract: for every output element the products are added in
 /// ascending-k order as ONE unbroken chain, exactly like the scalar MatVec
-/// dot loop, so the batched inference path reproduces the streaming path's
-/// floating-point results (tests enforce <= 1e-6 relative; on one toolchain
-/// the results are typically bit-identical). The kernel tiles the
-/// contiguous `n` (batch) dimension into register accumulators and
-/// auto-vectorizes over it; k deliberately runs unblocked — splitting k
-/// into partial sums would reassociate the chains and break the contract.
+/// dot loop, so every path that multiplies the same operands reproduces the
+/// scalar result bit for bit (the build pins -ffp-contract=off, so no
+/// compiler may fuse a chain's multiply-adds differently in one path than
+/// in another). The kernel tiles the contiguous `n` dimension into register
+/// accumulators and auto-vectorizes over it; k deliberately runs unblocked
+/// — splitting k into partial sums would reassociate the chains and break
+/// the contract.
 void Gemm(const float* a, size_t m, size_t k, size_t lda, const float* b,
           size_t n, size_t ldb, float* c, size_t ldc, bool accumulate);
 
 /// C = A * B. C is resized to (A.rows x B.cols).
 void MatMul(const Matrix& a, const Matrix& b, Matrix* c);
-
-/// C += A * B. C must already be (A.rows x B.cols).
-void MatMulAccum(const Matrix& a, const Matrix& b, Matrix* c);
 
 /// Adds bias[r] to every element of row r (broadcast over the batch
 /// dimension of a feature-major batch matrix).

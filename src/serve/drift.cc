@@ -256,7 +256,6 @@ void DriftAdapter::RunAdaptationCycle() {
     RecordGateResult(/*promoted=*/false, 0.0, 0.0, 0);
     return;
   }
-  candidate->preprocessor().WarmNormalRouteCaches();
 
   // --- gate reference: weak-supervision labels from a preprocessor fitted
   // on the post-drift buffer alone — the freshest unbiased statistics both

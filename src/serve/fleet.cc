@@ -37,11 +37,9 @@ FleetMonitor::FleetMonitor(std::shared_ptr<const core::Rl4Oasd> model,
       shards_(RoundUpPow2(std::max<size_t>(config.num_shards, 1))) {
   RL4_CHECK(model != nullptr);
   RL4_CHECK_GT(config_.max_active_trips, 0u);
-  // The preprocessor's normal-route caches rebuild lazily under const; warm
-  // them now so concurrent sessions only ever read. The model must not be
-  // retrained (Fit/FineTune) while this monitor is serving it — fine-tuned
-  // refreshes come in through SwapModel as separate instances.
-  model->preprocessor().WarmNormalRouteCaches();
+  // Concurrent sessions only read the model. It must not be retrained
+  // (Fit/FineTune) while this monitor is serving it — fine-tuned refreshes
+  // come in through SwapModel as separate instances.
   auto handle = std::make_shared<ModelHandle>();
   handle->generation = 1;
   handle->model = std::move(model);
@@ -109,9 +107,6 @@ std::shared_ptr<const core::Rl4Oasd> FleetMonitor::SwapModel(
                         "model; rejecting the self-swap as a no-op";
     return fresh->model;
   }
-  // Warm the lazy caches before publishing, so concurrent ingest never
-  // observes a half-initialized handle.
-  fresh->model->preprocessor().WarmNormalRouteCaches();
   std::shared_ptr<const ModelHandle> old;
   {
     common::MutexLock lock(&model_mu_);

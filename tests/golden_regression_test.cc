@@ -5,9 +5,9 @@
 // golden diff instead of silently shifting quality metrics.
 //
 // The golden file pins the *discrete* output (per-trajectory anomalous
-// runs), not floats: argmax decisions of a trained model are stable under
-// the <= 1e-6 float-equivalence contract of the batched kernels, while raw
-// probabilities would churn on any reordering.
+// runs), not floats: argmax decisions of a trained model survive any
+// refactor that keeps the batched kernels bit-identical to the streaming
+// step, while raw probabilities would churn on any reordering.
 //
 // Regenerate after an intentional behaviour change (see tests/README.md):
 //   RL4OASD_UPDATE_GOLDEN=1 ./build/tests/golden_regression_test

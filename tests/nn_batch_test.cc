@@ -3,14 +3,20 @@
 // batched embedding gather, stacked cores, and RSRNet's batched streaming
 // step — each compared element-wise against the scalar path it fuses.
 //
-// Equivalence contract (see nn::Gemm): the batched kernels add each output
-// element's products in the same ascending-k order as the scalar dot loops,
-// so results agree to <= 1e-6 relative tolerance (typically bit-identical
-// on one toolchain; the tolerance absorbs FMA-contraction differences).
+// Equivalence contract: EXACT equality, no tolerance. The recurrent step
+// has one body (StepRows) over sample-major state rows, and the
+// single-stream step is its B = 1 call, so a wave of any width runs the
+// same per-row product chains as stepping each stream alone. nn::Gemm adds
+// each output element's products in ascending-k order, exactly like the
+// scalar dot loops, and the build pins -ffp-contract=off, so no compiler
+// fuses one loop's multiply-adds differently from another's. The recurrent
+// and RSRNet checks sweep kWidths: register-tile edges (7/8/9, 15/16/17,
+// 63/64/65), the live workload's typical wave width 12, and B = 128/129.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
-#include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -26,12 +32,7 @@
 namespace rl4oasd::nn {
 namespace {
 
-constexpr float kRelTol = 1e-6f;
-
-void ExpectClose(float batched, float scalar, const std::string& what) {
-  const float tol = kRelTol * std::max(1.0f, std::fabs(scalar));
-  EXPECT_NEAR(batched, scalar, tol) << what;
-}
+constexpr int kWidths[] = {1, 2, 7, 8, 9, 12, 15, 16, 17, 63, 64, 65, 128, 129};
 
 Vec RandomVec(size_t n, Rng* rng, double scale = 1.0) {
   Vec v(n);
@@ -65,21 +66,20 @@ TEST(GemmTest, MatchesNaiveTripleLoop) {
       for (size_t j = 0; j < n; ++j) {
         float ref = 0.0f;
         for (size_t kk = 0; kk < k; ++kk) ref += a(i, kk) * b(kk, j);
-        ExpectClose(c(i, j), ref, "C(" + std::to_string(i) + "," +
-                                      std::to_string(j) + ")");
+        EXPECT_EQ(c(i, j), ref) << "C(" << i << "," << j << ")";
       }
     }
     // Accumulate mode adds the complete ascending-k product chain onto the
     // existing C in one step (the reference mirrors that association —
-    // "2 * C" or summing into C element-wise would differ by more than
-    // rounding tolerance at large k).
+    // "2 * C" or summing into C element-wise would round differently).
     Matrix c2 = c;
-    MatMulAccum(a, b, &c2);
+    Gemm(a.data(), m, k, k, b.data(), n, n, c2.data(), n,
+         /*accumulate=*/true);
     for (size_t i = 0; i < m; ++i) {
       for (size_t j = 0; j < n; ++j) {
         float chain = 0.0f;
         for (size_t kk = 0; kk < k; ++kk) chain += a(i, kk) * b(kk, j);
-        ExpectClose(c2(i, j), c(i, j) + chain, "accumulated C");
+        EXPECT_EQ(c2(i, j), c(i, j) + chain) << "accumulated C";
       }
     }
   }
@@ -98,7 +98,7 @@ TEST(GemmTest, SingleColumnMatchesMatVec) {
   Vec y(33);
   MatVec(a, x.data(), y.data());
   for (size_t i = 0; i < y.size(); ++i) {
-    ExpectClose(c(i, 0), y[i], "row " + std::to_string(i));
+    EXPECT_EQ(c(i, 0), y[i]) << "row " << i;
   }
 }
 
@@ -112,7 +112,7 @@ TEST(TensorBatchTest, SoftmaxColumnsMatchesPerColumnSoftmax) {
     for (size_t r = 0; r < 4; ++r) col[r] = logits(r, j);
     SoftmaxInPlace(col, 4);
     for (size_t r = 0; r < 4; ++r) {
-      ExpectClose(batched(r, j), col[r], "column " + std::to_string(j));
+      EXPECT_EQ(batched(r, j), col[r]) << "column " << j;
     }
   }
 }
@@ -125,12 +125,12 @@ TEST(EmbeddingBatchTest, LookupBatchMatchesLookup) {
     for (size_t b = 0; b < batch; ++b) ids[b] = rng.UniformInt(23);
     Matrix out;
     embed.LookupBatch(ids, &out);
-    ASSERT_EQ(out.rows(), 7u);
-    ASSERT_EQ(out.cols(), batch);
+    ASSERT_EQ(out.rows(), batch);
+    ASSERT_EQ(out.cols(), 7u);
     for (size_t b = 0; b < batch; ++b) {
       const float* row = embed.Lookup(ids[b]);
       for (size_t r = 0; r < 7; ++r) {
-        EXPECT_EQ(out(r, b), row[r]) << "id " << ids[b] << " dim " << r;
+        EXPECT_EQ(out(b, r), row[r]) << "id " << ids[b] << " dim " << r;
       }
     }
   }
@@ -152,48 +152,43 @@ TEST(LinearBatchTest, ForwardBatchMatchesForward) {
       for (size_t r = 0; r < in; ++r) xcol[r] = x(r, b);
       layer.Forward(xcol.data(), ycol.data());
       for (size_t r = 0; r < out_dim; ++r) {
-        ExpectClose(out(r, b), ycol[r], "sample " + std::to_string(b));
+        EXPECT_EQ(out(r, b), ycol[r]) << "sample " << b;
       }
     }
   }
 }
 
-// Drives `steps` batched steps and B independent scalar streams over the
-// same random inputs (starting from the same random nonzero carried states)
-// and compares the full state after every step.
+// Drives 4 batched steps and B independent scalar streams over the same
+// random inputs (starting from the same random nonzero carried states) at
+// every width in kWidths, and compares the full state after every step.
 template <typename Cell, typename ScalarState, typename BatchState>
-void CheckRecurrentBatchAgainstStreaming(Rng* rng, int trials) {
-  for (int trial = 0; trial < trials; ++trial) {
+void CheckRecurrentBatchAgainstStreaming(Rng* rng) {
+  for (const size_t batch : kWidths) {
     const size_t input_dim = 1 + rng->UniformInt(40);
     const size_t hidden = 1 + rng->UniformInt(40);
-    const size_t batch = 1 + rng->UniformInt(33);  // includes B=1
     Cell cell("t.cell", input_dim, hidden, rng);
     // Random nonzero carried states (a mid-trip batch never starts at 0).
     std::vector<ScalarState> scalar(batch, ScalarState(hidden));
     BatchState batched(hidden, batch);
     for (size_t b = 0; b < batch; ++b) {
       scalar[b].h = RandomVec(hidden, rng);
-      for (size_t r = 0; r < hidden; ++r) batched.h(r, b) = scalar[b].h[r];
+      std::copy(scalar[b].h.begin(), scalar[b].h.end(), batched.h.Row(b));
       if constexpr (requires { scalar[b].c; }) {
         scalar[b].c = RandomVec(hidden, rng);
-        for (size_t r = 0; r < hidden; ++r) batched.c(r, b) = scalar[b].c[r];
+        std::copy(scalar[b].c.begin(), scalar[b].c.end(), batched.c.Row(b));
       }
     }
     for (int step = 0; step < 4; ++step) {
-      const Matrix x = RandomMatrix(input_dim, batch, rng);
+      const Matrix x = RandomMatrix(batch, input_dim, rng);
       cell.StepForwardBatch(x, &batched);
-      Vec xcol(input_dim);
       for (size_t b = 0; b < batch; ++b) {
-        for (size_t r = 0; r < input_dim; ++r) xcol[r] = x(r, b);
-        cell.StepForward(xcol.data(), &scalar[b]);
+        cell.StepForward(x.Row(b), &scalar[b]);
         for (size_t r = 0; r < hidden; ++r) {
-          ExpectClose(batched.h(r, b), scalar[b].h[r],
-                      "h sample " + std::to_string(b) + " step " +
-                          std::to_string(step));
+          EXPECT_EQ(batched.h(b, r), scalar[b].h[r])
+              << "h B=" << batch << " sample " << b << " step " << step;
           if constexpr (requires { scalar[b].c; }) {
-            ExpectClose(batched.c(r, b), scalar[b].c[r],
-                        "c sample " + std::to_string(b) + " step " +
-                            std::to_string(step));
+            EXPECT_EQ(batched.c(b, r), scalar[b].c[r])
+                << "c B=" << batch << " sample " << b << " step " << step;
           }
         }
       }
@@ -203,13 +198,12 @@ void CheckRecurrentBatchAgainstStreaming(Rng* rng, int trials) {
 
 TEST(LstmBatchTest, StepForwardBatchMatchesStreaming) {
   Rng rng(21);
-  CheckRecurrentBatchAgainstStreaming<Lstm, LstmState, LstmBatchState>(&rng,
-                                                                       8);
+  CheckRecurrentBatchAgainstStreaming<Lstm, LstmState, LstmBatchState>(&rng);
 }
 
 TEST(GruBatchTest, StepForwardBatchMatchesStreaming) {
   Rng rng(22);
-  CheckRecurrentBatchAgainstStreaming<Gru, GruState, GruBatchState>(&rng, 8);
+  CheckRecurrentBatchAgainstStreaming<Gru, GruState, GruBatchState>(&rng);
 }
 
 TEST(RnnBatchStateTest, GatherScatterRoundTrips) {
@@ -229,6 +223,11 @@ TEST(RnnBatchStateTest, GatherScatterRoundTrips) {
   }
   RnnBatchState batch;
   batch.Gather(in, S);
+  ASSERT_EQ(batch.batch(), B);
+  for (size_t b = 0; b < B; ++b) {  // sample-major: row b is stream b
+    EXPECT_EQ(Vec(batch.h.Row(b), batch.h.Row(b) + S), states[b].h);
+    EXPECT_EQ(Vec(batch.c.Row(b), batch.c.Row(b) + S), states[b].c);
+  }
   const std::vector<RnnState> before = states;
   for (auto& s : states) s.Reset();
   batch.Scatter(out);
@@ -240,47 +239,41 @@ TEST(RnnBatchStateTest, GatherScatterRoundTrips) {
 
 void CheckRecurrentNetBatch(RnnKind kind, size_t layers, uint64_t seed) {
   Rng rng(seed);
-  const size_t input_dim = 1 + rng.UniformInt(20);
-  const size_t hidden = 1 + rng.UniformInt(20);
-  const size_t batch = 2 + rng.UniformInt(20);
-  std::unique_ptr<RecurrentNet> net;
-  if (layers > 1) {
-    net = std::make_unique<StackedRnn>(kind, "t.net", input_dim, hidden,
-                                       layers, &rng);
-  } else {
-    net = MakeRecurrentNet(kind, "t.net", input_dim, hidden, &rng);
-  }
-  const size_t S = net->state_size();
-  std::vector<RnnState> scalar(batch, RnnState(S));
-  Rng init(seed + 1);
-  for (auto& s : scalar) {
-    s.h = RandomVec(S, &init);
-    s.c = RandomVec(S, &init);
-  }
-  std::vector<const RnnState*> gather_ptrs;
-  std::vector<RnnState*> scatter_ptrs;
-  std::vector<RnnState> batched_states = scalar;  // copies evolve via batch
-  for (auto& s : batched_states) {
-    gather_ptrs.push_back(&s);
-    scatter_ptrs.push_back(&s);
-  }
-  for (int step = 0; step < 3; ++step) {
-    const Matrix x = RandomMatrix(input_dim, batch, &rng);
-    RnnBatchState bstate;
-    bstate.Gather(gather_ptrs, S);
-    net->StepForwardBatch(x, &bstate);
-    bstate.Scatter(scatter_ptrs);
-    Vec xcol(input_dim);
-    for (size_t b = 0; b < batch; ++b) {
-      for (size_t r = 0; r < input_dim; ++r) xcol[r] = x(r, b);
-      net->StepForward(xcol.data(), &scalar[b]);
-      for (size_t r = 0; r < S; ++r) {
-        ExpectClose(batched_states[b].h[r], scalar[b].h[r],
-                    RnnKindName(kind) + std::string(" h sample ") +
-                        std::to_string(b));
-        ExpectClose(batched_states[b].c[r], scalar[b].c[r],
-                    RnnKindName(kind) + std::string(" c sample ") +
-                        std::to_string(b));
+  for (const size_t batch : kWidths) {
+    const size_t input_dim = 1 + rng.UniformInt(20);
+    const size_t hidden = 1 + rng.UniformInt(20);
+    std::unique_ptr<RecurrentNet> net;
+    if (layers > 1) {
+      net = std::make_unique<StackedRnn>(kind, "t.net", input_dim, hidden,
+                                         layers, &rng);
+    } else {
+      net = MakeRecurrentNet(kind, "t.net", input_dim, hidden, &rng);
+    }
+    const size_t S = net->state_size();
+    std::vector<RnnState> scalar(batch, RnnState(S));
+    for (auto& s : scalar) {
+      s.h = RandomVec(S, &rng);
+      s.c = RandomVec(S, &rng);
+    }
+    std::vector<const RnnState*> gather_ptrs;
+    std::vector<RnnState*> scatter_ptrs;
+    std::vector<RnnState> batched_states = scalar;  // copies evolve via batch
+    for (auto& s : batched_states) {
+      gather_ptrs.push_back(&s);
+      scatter_ptrs.push_back(&s);
+    }
+    for (int step = 0; step < 3; ++step) {
+      const Matrix x = RandomMatrix(batch, input_dim, &rng);
+      RnnBatchState bstate;
+      bstate.Gather(gather_ptrs, S);
+      net->StepForwardBatch(x, &bstate);
+      bstate.Scatter(scatter_ptrs);
+      for (size_t b = 0; b < batch; ++b) {
+        net->StepForward(x.Row(b), &scalar[b]);
+        EXPECT_EQ(batched_states[b].h, scalar[b].h)
+            << RnnKindName(kind) << " h B=" << batch << " sample " << b;
+        EXPECT_EQ(batched_states[b].c, scalar[b].c)
+            << RnnKindName(kind) << " c B=" << batch << " sample " << b;
       }
     }
   }
@@ -305,9 +298,10 @@ TEST(RecurrentNetBatchTest, StackedGruMatchesStreaming) {
 class RsrNetBatchTest : public ::testing::TestWithParam<nn::RnnKind> {};
 
 TEST_P(RsrNetBatchTest, StepForwardBatchMatchesScalar) {
-  // Persistent per-trip streams advanced through a mix of batched and
-  // scalar steps, with varying batch compositions per call — the ragged
-  // final batch of a draining ingest wave is just a smaller B.
+  // Persistent per-trip streams advanced through waves of every width in
+  // kWidths, each over a random subset of the streams — the ragged final
+  // batch of a draining ingest wave is just a smaller B, and a stream's
+  // first wave sizes its fresh state like the scalar step does.
   core::RsrNetConfig cfg;
   cfg.num_edges = 50;
   cfg.embed_dim = 12;
@@ -318,48 +312,44 @@ TEST_P(RsrNetBatchTest, StepForwardBatchMatchesScalar) {
   core::RsrNet net(cfg);
 
   Rng rng(55);
-  constexpr size_t kStreams = 9;
+  constexpr size_t kStreams = 129;
   std::vector<core::RsrStream> batched_streams(kStreams);
   std::vector<core::RsrStream> scalar_streams(kStreams);
-  for (int step = 0; step < 6; ++step) {
-    // A random subset of streams receives a point this "wave".
-    std::vector<size_t> wave;
-    for (size_t i = 0; i < kStreams; ++i) {
-      if (rng.Bernoulli(0.7)) wave.push_back(i);
-    }
-    if (wave.empty()) wave.push_back(0);
-    const size_t B = wave.size();
-    std::vector<traj::EdgeId> edges(B);
-    std::vector<uint8_t> nrf(B);
-    std::vector<core::RsrStream*> streams(B);
-    for (size_t b = 0; b < B; ++b) {
-      edges[b] = static_cast<traj::EdgeId>(rng.UniformInt(cfg.num_edges));
-      nrf[b] = rng.Bernoulli(0.5) ? 1 : 0;
-      streams[b] = &batched_streams[wave[b]];
-    }
-    Matrix z;
-    Matrix probs;
-    net.StepForwardBatch(edges, nrf, streams, &z, &probs);
-    ASSERT_EQ(z.rows(), net.z_dim());
-    ASSERT_EQ(z.cols(), B);
-    for (size_t b = 0; b < B; ++b) {
-      std::array<float, 2> scalar_probs{};
-      const Vec scalar_z = net.StepForward(edges[b], nrf[b],
-                                           &scalar_streams[wave[b]],
-                                           &scalar_probs);
-      for (size_t r = 0; r < scalar_z.size(); ++r) {
-        ExpectClose(z(r, b), scalar_z[r],
-                    "z stream " + std::to_string(wave[b]) + " step " +
-                        std::to_string(step));
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const size_t B : kWidths) {
+      const std::vector<size_t> wave =
+          rng.SampleWithoutReplacement(kStreams, B);
+      std::vector<traj::EdgeId> edges(B);
+      std::vector<uint8_t> nrf(B);
+      std::vector<core::RsrStream*> streams(B);
+      for (size_t b = 0; b < B; ++b) {
+        edges[b] = static_cast<traj::EdgeId>(rng.UniformInt(cfg.num_edges));
+        nrf[b] = rng.Bernoulli(0.5) ? 1 : 0;
+        streams[b] = &batched_streams[wave[b]];
       }
-      ExpectClose(probs(0, b), scalar_probs[0], "p0");
-      ExpectClose(probs(1, b), scalar_probs[1], "p1");
-      const auto& bs = batched_streams[wave[b]].state;
-      const auto& ss = scalar_streams[wave[b]].state;
-      ASSERT_EQ(bs.h.size(), ss.h.size());
-      for (size_t r = 0; r < ss.h.size(); ++r) {
-        ExpectClose(bs.h[r], ss.h[r], "carried h");
-        ExpectClose(bs.c[r], ss.c[r], "carried c");
+      Matrix z;
+      Matrix probs;
+      net.StepForwardBatch(edges, nrf, streams, &z, &probs);
+      ASSERT_EQ(z.rows(), net.z_dim());
+      ASSERT_EQ(z.cols(), B);
+      for (size_t b = 0; b < B; ++b) {
+        std::array<float, 2> scalar_probs{};
+        const Vec scalar_z = net.StepForward(
+            edges[b], nrf[b], &scalar_streams[wave[b]], &scalar_probs);
+        const std::string where = "B=" + std::to_string(B) + " stream " +
+                                  std::to_string(wave[b]) + " pass " +
+                                  std::to_string(pass);
+        for (size_t r = 0; r < scalar_z.size(); ++r) {
+          EXPECT_EQ(z(r, b), scalar_z[r]) << "z " << where;
+        }
+        EXPECT_EQ(probs(0, b), scalar_probs[0]) << "p0 " << where;
+        EXPECT_EQ(probs(1, b), scalar_probs[1]) << "p1 " << where;
+        EXPECT_EQ(batched_streams[wave[b]].state.h,
+                  scalar_streams[wave[b]].state.h)
+            << "carried h " << where;
+        EXPECT_EQ(batched_streams[wave[b]].state.c,
+                  scalar_streams[wave[b]].state.c)
+            << "carried c " << where;
       }
     }
   }

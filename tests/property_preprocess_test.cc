@@ -147,19 +147,36 @@ TEST_P(PreprocessProperty, UnknownSdPairIsConservative) {
       pre.EdgeOnNormalRouteAt(ghost.sd(), ghost.start_time, ghost.edges[1]));
 }
 
-TEST_P(PreprocessProperty, WarmingCachesDoesNotChangeAnswers) {
-  Preprocessor lazy, warmed;
-  lazy.Fit(dataset_);
-  warmed.Fit(dataset_);
-  warmed.WarmNormalRouteCaches();
-  for (size_t i = 0; i < std::min<size_t>(dataset_.size(), 40); ++i) {
-    const auto& t = dataset_[i].traj;
-    EXPECT_EQ(warmed.NormalRouteFeatures(t), lazy.NormalRouteFeatures(t));
-    for (size_t k = 1; k < t.edges.size(); ++k) {
-      EXPECT_EQ(warmed.NormalRouteFeatureAt(t.sd(), t.start_time,
-                                            t.edges[k - 1], t.edges[k]),
-                lazy.NormalRouteFeatureAt(t.sd(), t.start_time,
-                                          t.edges[k - 1], t.edges[k]));
+TEST_P(PreprocessProperty, EveryUpdateIsVisibleToTheNextQuery) {
+  // Update rebuilds the normal-route sets of the groups it touched before
+  // returning (const queries never rebuild anything, so concurrent readers
+  // only read): after each single Update, the normal-route answers equal a
+  // fresh Fit over everything ingested so far. The second config lets
+  // slot groups cross min_slot_support mid-stream, where queries switch
+  // from the SD pair's aggregate to the slot group's own sets.
+  for (const int64_t min_support : {PreprocessConfig{}.min_slot_support,
+                                    int64_t{2}}) {
+    PreprocessConfig cfg;
+    cfg.min_slot_support = min_support;
+    traj::Dataset seen, rest;
+    for (size_t i = 0; i < dataset_.size(); ++i) {
+      (i % 2 == 0 ? seen : rest).Add(dataset_[i]);
+    }
+    Preprocessor incremental(cfg);
+    incremental.Fit(seen);
+    for (size_t i = 0; i < std::min<size_t>(rest.size(), 40); ++i) {
+      const auto& t = rest[i].traj;
+      incremental.Update(t);
+      seen.Add(rest[i]);
+      Preprocessor refit(cfg);
+      refit.Fit(seen);
+      EXPECT_EQ(incremental.NormalRouteFeatures(t),
+                refit.NormalRouteFeatures(t))
+          << "min_slot_support " << min_support << " update " << i;
+      for (const traj::EdgeId e : t.edges) {
+        EXPECT_EQ(incremental.EdgeOnNormalRouteAt(t.sd(), t.start_time, e),
+                  refit.EdgeOnNormalRouteAt(t.sd(), t.start_time, e));
+      }
     }
   }
 }
