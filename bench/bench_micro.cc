@@ -14,7 +14,6 @@
 #include "core/detector.h"
 #include "io/checkpoint.h"
 #include "io/model_io.h"
-#include "nn/gru.h"
 #include "nn/lstm.h"
 #include "roadnet/shortest_path.h"
 #include "serve/fleet.h"
@@ -136,23 +135,6 @@ void BM_RsrTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_RsrTrainStep);
 
-void BM_GruStreamingStep(benchmark::State& state) {
-  // GRU counterpart of BM_LstmStreamingStep (same dims as the fixture's
-  // RSRNet core) for the architecture-ablation latency claim.
-  Rng rng(3);
-  auto& f = Fixture();
-  const size_t embed = f.model.rsrnet().config().embed_dim;
-  const size_t hidden = f.model.rsrnet().config().hidden_dim;
-  nn::Gru gru("micro", embed, hidden, &rng);
-  nn::GruState gru_state(hidden);
-  nn::Vec x(embed, 0.1f);
-  for (auto _ : state) {
-    gru.StepForward(x.data(), &gru_state);
-    benchmark::DoNotOptimize(gru_state.h.data());
-  }
-}
-BENCHMARK(BM_GruStreamingStep);
-
 void BM_FleetFeed(benchmark::State& state) {
   // Per-point cost through the full service layer (shard lock + session +
   // run bookkeeping) vs the bare detector Feed above.
@@ -201,8 +183,8 @@ void BM_LstmStepBatch(benchmark::State& state) {
 BENCHMARK(BM_LstmStepBatch)->Apply(WaveWidths);
 
 void BM_RsrStepBatch(benchmark::State& state) {
-  // Full batched RSRNet streaming step: embedding gather, fused recurrent
-  // GEMMs, state scatter, z assembly.
+  // Full batched RSRNet streaming step: embedding gather, fused LSTM GEMMs,
+  // state scatter, z assembly.
   auto& f = Fixture();
   const auto B = static_cast<size_t>(state.range(0));
   std::vector<core::RsrStream> streams(B);

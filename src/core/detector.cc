@@ -58,8 +58,7 @@ OnlineDetector::Session::Session(const OnlineDetector* owner, traj::SdPair sd,
     : owner_(owner),
       sd_(sd),
       start_time_(start_time),
-      // Full stream_state_size (not hidden_dim): stacked cores carry one
-      // slice per layer, and a never-fed session must already export
+      // Sized up front: a never-fed session must already export
       // correctly-sized hidden vectors for snapshot/restore.
       stream_(owner->rsr_->stream_state_size()),
       tracker_(owner->config_.use_dl ? owner->config_.delay_d : 0),

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "nn/stacked.h"
 
 namespace rl4oasd::core {
 
@@ -12,18 +11,12 @@ RsrNet::RsrNet(RsrNetConfig config)
       rng_(config.seed),
       tcf_embed_("rsr.tcf", config.num_edges, config.embed_dim, &rng_),
       nrf_embed_("rsr.nrf", 2, config.nrf_dim, &rng_),
-      rnn_(config.num_layers > 1
-               ? std::make_unique<nn::StackedRnn>(
-                     config.rnn_kind, "rsr", config.embed_dim,
-                     config.hidden_dim, config.num_layers, &rng_)
-               : nn::MakeRecurrentNet(config.rnn_kind, "rsr",
-                                      config.embed_dim, config.hidden_dim,
-                                      &rng_)),
+      lstm_("rsr.lstm", config.embed_dim, config.hidden_dim, &rng_),
       head_("rsr.head", config.hidden_dim + config.nrf_dim, 2, &rng_) {
   RL4_CHECK_GT(config_.num_edges, 0u);
   tcf_embed_.RegisterParams(&registry_);
   nrf_embed_.RegisterParams(&registry_);
-  rnn_->RegisterParams(&registry_);
+  lstm_.RegisterParams(&registry_);
   head_.RegisterParams(&registry_);
   nn::AdamConfig adam;
   adam.lr = config_.lr;
@@ -40,8 +33,7 @@ void RsrNet::LoadTcfEmbeddings(const nn::Matrix& table) {
 
 RsrForward RsrNet::ForwardImpl(const std::vector<traj::EdgeId>& edges,
                                const std::vector<uint8_t>& nrf,
-                               std::unique_ptr<nn::RecurrentNet::SeqCache>*
-                                   caches) const {
+                               std::vector<nn::LstmStepCache>* caches) const {
   RL4_CHECK_EQ(edges.size(), nrf.size());
   RsrForward out;
   const size_t n = edges.size();
@@ -49,14 +41,14 @@ RsrForward RsrNet::ForwardImpl(const std::vector<traj::EdgeId>& edges,
   for (size_t i = 0; i < n; ++i) {
     inputs[i] = tcf_embed_.Lookup(static_cast<size_t>(edges[i]));
   }
-  auto local_caches = rnn_->Forward(inputs);
+  std::vector<nn::LstmStepCache> steps = lstm_.Forward(inputs);
   out.z.resize(n);
   out.probs.resize(n);
   const size_t H = config_.hidden_dim;
   const size_t N = config_.nrf_dim;
   for (size_t i = 0; i < n; ++i) {
     out.z[i].resize(H + N);
-    const nn::Vec& h = local_caches->h(i);
+    const nn::Vec& h = steps[i].h;
     std::copy(h.begin(), h.end(), out.z[i].begin());
     const float* nv = nrf_embed_.Lookup(nrf[i] ? 1 : 0);
     std::copy(nv, nv + N, out.z[i].begin() + H);
@@ -65,7 +57,7 @@ RsrForward RsrNet::ForwardImpl(const std::vector<traj::EdgeId>& edges,
     nn::SoftmaxInPlace(logits, 2);
     out.probs[i] = {logits[0], logits[1]};
   }
-  if (caches != nullptr) *caches = std::move(local_caches);
+  if (caches != nullptr) *caches = std::move(steps);
   return out;
 }
 
@@ -77,7 +69,7 @@ RsrForward RsrNet::Forward(const std::vector<traj::EdgeId>& edges,
 const RsrForward& RsrNet::ForwardCached(const std::vector<traj::EdgeId>& edges,
                                         const std::vector<uint8_t>& nrf,
                                         RsrTrainCache* cache) const {
-  cache->fwd = ForwardImpl(edges, nrf, &cache->rnn_cache);
+  cache->fwd = ForwardImpl(edges, nrf, &cache->lstm_steps);
   return cache->fwd;
 }
 
@@ -115,13 +107,13 @@ double RsrNet::TrainStepCached(const std::vector<traj::EdgeId>& edges,
   RL4_CHECK_EQ(edges.size(), labels.size());
   if (edges.empty()) return 0.0;
   RL4_CHECK(cache->valid());
-  auto caches = std::move(cache->rnn_cache);
   registry_.ZeroGrad();
-  const double loss =
-      ComputeGradients(edges, nrf, labels, cache->fwd, *caches, nullptr);
+  const double loss = ComputeGradients(edges, nrf, labels, cache->fwd,
+                                       cache->lstm_steps, nullptr);
+  cache->lstm_steps.clear();
   registry_.ClipGradNorm(config_.grad_clip);
   optimizer_->Step();
-  rnn_->Repack();
+  lstm_.Repack();
   return loss;
 }
 
@@ -133,7 +125,7 @@ double RsrNet::AccumulateGradients(const std::vector<traj::EdgeId>& edges,
   if (edges.empty()) return 0.0;
   RsrTrainCache cache;
   ForwardCached(edges, nrf, &cache);
-  return ComputeGradients(edges, nrf, labels, cache.fwd, *cache.rnn_cache,
+  return ComputeGradients(edges, nrf, labels, cache.fwd, cache.lstm_steps,
                           sink);
 }
 
@@ -141,7 +133,7 @@ void RsrNet::ApplyWorkerGradients(nn::GradientSink* sink) {
   sink->AddToParams();
   registry_.ClipGradNorm(config_.grad_clip);
   optimizer_->Step();
-  rnn_->Repack();
+  lstm_.Repack();
   registry_.ZeroGrad();
   sink->Reset();
 }
@@ -150,7 +142,7 @@ double RsrNet::ComputeGradients(const std::vector<traj::EdgeId>& edges,
                                 const std::vector<uint8_t>& nrf,
                                 const std::vector<uint8_t>& labels,
                                 const RsrForward& fwd,
-                                const nn::RecurrentNet::SeqCache& caches,
+                                const std::vector<nn::LstmStepCache>& caches,
                                 nn::GradientSink* sink) {
   const size_t n = edges.size();
   const size_t H = config_.hidden_dim;
@@ -200,30 +192,23 @@ double RsrNet::ComputeGradients(const std::vector<traj::EdgeId>& edges,
     std::copy(dz, dz + H, d_h_seq.Row(i));
     nrf_embed_.AccumulateGrad(nrf[i] ? 1 : 0, dz + H, sink);
   }
-  rnn_->BackwardSeq(caches, d_h_seq, &d_x_seq, sink);
+  lstm_.BackwardSeq(caches, d_h_seq, &d_x_seq, sink);
   ids.resize(n);
   for (size_t i = 0; i < n; ++i) ids[i] = static_cast<size_t>(edges[i]);
   tcf_embed_.AccumulateGradSeq(ids, d_x_seq, sink);
   return loss / static_cast<double>(n);
 }
 
-size_t RsrNet::stream_state_size() const { return rnn_->state_size(); }
-
 nn::Vec RsrNet::StepForward(traj::EdgeId edge, uint8_t nrf_bit,
                             RsrStream* stream,
                             std::array<float, 2>* probs) const {
-  if (stream->state.h.size() != rnn_->state_size()) {
-    stream->state = nn::RnnState(rnn_->state_size());
-  }
-  rnn_->StepForward(tcf_embed_.Lookup(static_cast<size_t>(edge)),
-                    &stream->state);
   const size_t H = config_.hidden_dim;
   const size_t N = config_.nrf_dim;
+  if (stream->state.h.size() != H) stream->state = nn::LstmState(H);
+  lstm_.StepForward(tcf_embed_.Lookup(static_cast<size_t>(edge)),
+                    &stream->state);
   nn::Vec z(H + N);
-  // Multi-layer cores pack one slice per layer; the top layer's hidden
-  // output occupies the last H entries.
-  const float* h_top = stream->state.h.data() + stream->state.h.size() - H;
-  std::copy(h_top, h_top + H, z.begin());
+  std::copy(stream->state.h.begin(), stream->state.h.end(), z.begin());
   const float* nv = nrf_embed_.Lookup(nrf_bit ? 1 : 0);
   std::copy(nv, nv + N, z.begin() + H);
   if (probs != nullptr) {
@@ -244,38 +229,35 @@ void RsrNet::StepForwardBatch(std::span<const traj::EdgeId> edges,
   RL4_CHECK_EQ(streams.size(), B);
   const size_t H = config_.hidden_dim;
   const size_t N = config_.nrf_dim;
-  const size_t S = rnn_->state_size();
 
-  // Gather: embedding rows and per-stream recurrent states (fresh streams
-  // are sized here, like the scalar path). Scratch buffers are thread-local
-  // and fully overwritten, so steady-state waves allocate nothing.
+  // Gather: embedding rows and per-stream LSTM states (fresh streams are
+  // sized here, like the scalar path). Scratch buffers are thread-local and
+  // fully overwritten, so steady-state waves allocate nothing.
   static thread_local std::vector<size_t> ids;
-  static thread_local std::vector<nn::RnnState*> states;
+  static thread_local std::vector<nn::LstmState*> states;
   static thread_local nn::Matrix x;  // B x embed_dim
-  static thread_local nn::RnnBatchState batch_state;
+  static thread_local nn::LstmBatchState batch_state;
   ids.resize(B);
   states.resize(B);
   for (size_t b = 0; b < B; ++b) {
     ids[b] = static_cast<size_t>(edges[b]);
-    if (streams[b]->state.h.size() != S) {
-      streams[b]->state = nn::RnnState(S);
-    }
+    if (streams[b]->state.h.size() != H) streams[b]->state = nn::LstmState(H);
     states[b] = &streams[b]->state;
   }
   tcf_embed_.LookupBatch(ids, &x);
-  batch_state.Gather(states, S);
+  batch_state.Gather(states, H);
 
-  rnn_->StepForwardBatch(x, &batch_state);
+  lstm_.StepForwardBatch(x, &batch_state);
 
   batch_state.Scatter(states);
 
-  // z = [h_top; nrf], feature-major for the head and the policy: the top
-  // layer's hidden block is the last H columns of each state row, the NRF
-  // embedding fills the rest of the column.
+  // z = [h; nrf], feature-major for the head and the policy: row b of the
+  // hidden state fills the top H entries of column b, the NRF embedding the
+  // rest.
   z->EnsureShape(H + N, B);
   float* zd = z->data();
   for (size_t b = 0; b < B; ++b) {
-    const float* ht = batch_state.h.Row(b) + (S - H);
+    const float* ht = batch_state.h.Row(b);
     for (size_t r = 0; r < H; ++r) zd[r * B + b] = ht[r];
     const float* nv = nrf_embed_.Lookup(nrf_bits[b] ? 1 : 0);
     for (size_t r = 0; r < N; ++r) zd[(H + r) * B + b] = nv[r];

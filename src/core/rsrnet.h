@@ -16,7 +16,7 @@
 #include "nn/adam.h"
 #include "nn/embedding.h"
 #include "nn/linear.h"
-#include "nn/rnn.h"
+#include "nn/lstm.h"
 #include "traj/types.h"
 
 namespace rl4oasd::core {
@@ -41,10 +41,6 @@ struct RsrNetConfig {
   // and an overconfident RSRNet leaves the policy no room to refine
   // boundaries.
   float label_smoothing = 0.05f;
-  // Recurrent core: LSTM (paper setting) or GRU (architecture ablation).
-  nn::RnnKind rnn_kind = nn::RnnKind::kLstm;
-  // Stacked recurrent layers (1 = the paper's single-layer setting).
-  size_t num_layers = 1;
   uint64_t seed = 17;
 };
 
@@ -56,25 +52,25 @@ struct RsrForward {
   std::vector<std::array<float, 2>> probs;
 };
 
-/// Streaming state for the online detector: one recurrent state per
-/// trajectory.
+/// Streaming state for the online detector: one LSTM state per trajectory.
 struct RsrStream {
-  nn::RnnState state;
+  nn::LstmState state;
   explicit RsrStream(size_t hidden = 0) : state(hidden) {}
 };
 
 /// A forward pass retained for training: the consumer-visible outputs plus
-/// the recurrent BPTT caches. Produced by RsrNet::ForwardCached, consumed
-/// (at most once) by RsrNet::TrainStepCached — the joint-training loop
-/// computes one forward per episode and reuses it for the rollout, both
-/// reward losses, and the weight update.
+/// the LSTM's BPTT caches. Produced by RsrNet::ForwardCached, consumed (at
+/// most once) by RsrNet::TrainStepCached — the joint-training loop computes
+/// one forward per episode and reuses it for the rollout, both reward
+/// losses, and the weight update.
 struct RsrTrainCache {
   RsrForward fwd;
-  std::unique_ptr<nn::RecurrentNet::SeqCache> rnn_cache;
+  std::vector<nn::LstmStepCache> lstm_steps;
 
-  /// True until TrainStepCached consumes the BPTT caches (the weights
-  /// change on the update, so the forward cannot be reused afterwards).
-  bool valid() const { return rnn_cache != nullptr; }
+  /// True from a non-empty ForwardCached until TrainStepCached consumes the
+  /// BPTT caches (the weights change on the update, so the forward cannot
+  /// be reused afterwards).
+  bool valid() const { return !lstm_steps.empty(); }
 };
 
 class RsrNet {
@@ -84,10 +80,10 @@ class RsrNet {
   size_t z_dim() const { return config_.hidden_dim + config_.nrf_dim; }
   const RsrNetConfig& config() const { return config_; }
 
-  /// Length of the RsrStream state vectors the recurrent core carries
-  /// (num_layers * hidden for stacked cores). Snapshot restore validates
-  /// imported hidden states against this before accepting them.
-  size_t stream_state_size() const;
+  /// Length of the RsrStream state vectors (the LSTM's hidden width).
+  /// Snapshot restore validates imported hidden states against this before
+  /// accepting them.
+  size_t stream_state_size() const { return config_.hidden_dim; }
 
   /// Loads pre-trained TCF embeddings (rows must match num_edges; extra
   /// columns are truncated, missing columns are an error).
@@ -154,8 +150,8 @@ class RsrNet {
 
   /// Batched streaming step over B independent trip streams: advances
   /// streams[b] by edges[b]/nrf_bits[b] bit-identically to StepForward, with
-  /// the recurrent gate matmuls of all B streams fused into GEMMs over
-  /// sample-major state rows (nn::RecurrentNet::StepRows). `z` is resized
+  /// the LSTM gate matmuls of all B streams fused into GEMMs over
+  /// sample-major state rows (nn::Lstm::StepRows). `z` is resized
   /// to (z_dim x B), column b = z_b; `probs` (optional) is resized to
   /// (2 x B) of softmaxed class probabilities. Streams may differ per
   /// call — the caller gathers whichever trips have a point to process, so
@@ -165,10 +161,10 @@ class RsrNet {
                         std::span<RsrStream* const> streams, nn::Matrix* z,
                         nn::Matrix* probs = nullptr) const;
 
-  /// Rebuilds the recurrent core's streaming copy of its weights (see
+  /// Rebuilds the LSTM's streaming copy of its weights (see
   /// nn::Lstm::Repack). The Adam steps above do this themselves; call it
   /// after writing the registry() parameters any other way (a bundle load).
-  void Repack() { rnn_->Repack(); }
+  void Repack() { lstm_.Repack(); }
 
   nn::ParameterRegistry* registry() { return &registry_; }
   float lr() const { return optimizer_->lr(); }
@@ -176,9 +172,9 @@ class RsrNet {
 
  private:
   /// Shared forward that optionally retains caches for backprop.
-  RsrForward ForwardImpl(
-      const std::vector<traj::EdgeId>& edges, const std::vector<uint8_t>& nrf,
-      std::unique_ptr<nn::RecurrentNet::SeqCache>* caches) const;
+  RsrForward ForwardImpl(const std::vector<traj::EdgeId>& edges,
+                         const std::vector<uint8_t>& nrf,
+                         std::vector<nn::LstmStepCache>* caches) const;
 
   /// Cross-entropy loss plus all parameter gradients via the sequence-level
   /// (GEMM-backed) backward passes. With `sink` null, gradients accumulate
@@ -191,14 +187,14 @@ class RsrNet {
                           const std::vector<uint8_t>& nrf,
                           const std::vector<uint8_t>& labels,
                           const RsrForward& fwd,
-                          const nn::RecurrentNet::SeqCache& caches,
+                          const std::vector<nn::LstmStepCache>& caches,
                           nn::GradientSink* sink);
 
   RsrNetConfig config_;
   Rng rng_;
   nn::Embedding tcf_embed_;  // num_edges x embed_dim
   nn::Embedding nrf_embed_;  // 2 x nrf_dim
-  std::unique_ptr<nn::RecurrentNet> rnn_;  // embed_dim -> hidden_dim
+  nn::Lstm lstm_;            // embed_dim -> hidden_dim
   nn::Linear head_;          // (hidden + nrf_dim) -> 2
   nn::ParameterRegistry registry_;
   std::unique_ptr<nn::AdamOptimizer> optimizer_;

@@ -1,9 +1,12 @@
 #include "io/model_io.h"
 
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <map>
 #include <vector>
 
+#include "common/strings.h"
 #include "io/checkpoint.h"
 
 namespace rl4oasd::io {
@@ -13,42 +16,50 @@ namespace {
 constexpr char kMagic[4] = {'R', 'L', 'M', 'B'};
 
 /// Flat key->double view of every tunable in Rl4OasdConfig. Pointers into
-/// the config let one table serve both directions.
+/// the config let one table serve both directions. Integral and bool fields
+/// travel as doubles (exact for the ranges involved). A bundle is untrusted
+/// input, so Read validates every known value before it reaches the config:
+/// the model constructors CHECK-fail on values no writer produces, and a
+/// double outside its field's range does not convert at all.
 class ConfigKvView {
  public:
   explicit ConfigKvView(core::Rl4OasdConfig* c) {
-    // Mirror integral/bool fields through doubles (exact for the ranges
-    // involved).
     Bind("preprocess.alpha", &c->preprocess.alpha);
     Bind("preprocess.delta", &c->preprocess.delta);
-    BindInt("preprocess.time_slot_hours", &c->preprocess.time_slot_hours);
-    BindI64("preprocess.min_slot_support", &c->preprocess.min_slot_support);
+    BindInt("preprocess.time_slot_hours", &c->preprocess.time_slot_hours,
+            /*min=*/1);
+    BindInt("preprocess.min_slot_support", &c->preprocess.min_slot_support);
 
-    BindSize("rsr.num_edges", &c->rsr.num_edges);
-    BindSize("rsr.embed_dim", &c->rsr.embed_dim);
-    BindSize("rsr.nrf_dim", &c->rsr.nrf_dim);
-    BindSize("rsr.hidden_dim", &c->rsr.hidden_dim);
+    BindInt("rsr.num_edges", &c->rsr.num_edges);
+    BindInt("rsr.embed_dim", &c->rsr.embed_dim);
+    BindInt("rsr.nrf_dim", &c->rsr.nrf_dim);
+    BindInt("rsr.hidden_dim", &c->rsr.hidden_dim);
     BindFloat("rsr.lr", &c->rsr.lr);
     BindFloat("rsr.grad_clip", &c->rsr.grad_clip);
     BindFloat("rsr.positive_weight", &c->rsr.positive_weight);
     BindFloat("rsr.label_smoothing", &c->rsr.label_smoothing);
-    BindU64("rsr.seed", &c->rsr.seed);
-    BindRnnKind("rsr.rnn_kind", &c->rsr.rnn_kind);
-    BindSize("rsr.num_layers", &c->rsr.num_layers);
+    BindInt("rsr.seed", &c->rsr.seed);
+    // RSRNet's core is the paper's single-layer LSTM. These two keys once
+    // selected a GRU or a stacked core; they stay in every bundle at the
+    // LSTM's values, so bundle bytes and fingerprints do not move, and a
+    // bundle that names another core is refused here, by key, instead of
+    // failing deep in the tensor reader.
+    BindFixed("rsr.rnn_kind", 0.0);
+    BindFixed("rsr.num_layers", 1.0);
 
-    BindSize("asd.label_dim", &c->asd.label_dim);
+    BindInt("asd.label_dim", &c->asd.label_dim);
     BindFloat("asd.lr", &c->asd.lr);
     BindFloat("asd.grad_clip", &c->asd.grad_clip);
-    BindU64("asd.seed", &c->asd.seed);
+    BindInt("asd.seed", &c->asd.seed);
 
     BindBool("detector.use_rnel", &c->detector.use_rnel);
     BindBool("detector.use_dl", &c->detector.use_dl);
     BindInt("detector.delay_d", &c->detector.delay_d);
     BindBool("detector.use_boundary_trim", &c->detector.use_boundary_trim);
     BindBool("detector.stochastic", &c->detector.stochastic);
-    BindU64("detector.seed", &c->detector.seed);
+    BindInt("detector.seed", &c->detector.seed);
 
-    BindSize("embedding.dim", &c->embedding.dim);
+    BindInt("embedding.dim", &c->embedding.dim);
     BindInt("embedding.window", &c->embedding.window);
     BindInt("embedding.negatives", &c->embedding.negatives);
     BindInt("embedding.epochs", &c->embedding.epochs);
@@ -58,7 +69,7 @@ class ConfigKvView {
             &c->embedding.random_walks_per_edge);
     BindInt("embedding.walk_length", &c->embedding.walk_length);
     Bind("embedding.aux_weight", &c->embedding.aux_weight);
-    BindU64("embedding.seed", &c->embedding.seed);
+    BindInt("embedding.seed", &c->embedding.seed);
 
     BindInt("train.pretrain_samples", &c->pretrain_samples);
     BindInt("train.pretrain_epochs", &c->pretrain_epochs);
@@ -77,7 +88,7 @@ class ConfigKvView {
     BindBool("ablation.use_asdnet", &c->use_asdnet);
     BindBool("ablation.transition_frequency_only",
              &c->transition_frequency_only);
-    BindU64("seed", &c->seed);
+    BindInt("seed", &c->seed);
   }
 
   void Write(BinaryWriter* w) const {
@@ -98,49 +109,76 @@ class ConfigKvView {
       RL4_RETURN_NOT_OK(r->ReadF64(&value));
       // Unknown keys are skipped: bundles written by newer builds still load.
       auto it = setters_.find(key);
-      if (it != setters_.end()) it->second(value);
+      if (it == setters_.end()) continue;
+      if (!std::isfinite(value)) {
+        return Status::InvalidArgument(StrFormat(
+            "bundle config %s = %g is not finite", key.c_str(), value));
+      }
+      RL4_RETURN_NOT_OK(it->second(value));
     }
     return Status::OK();
   }
 
  private:
+  static Status OutOfRange(const char* key, double v) {
+    return Status::InvalidArgument(
+        StrFormat("bundle config %s = %.17g is out of range", key, v));
+  }
+
   void Bind(const char* key, double* p) {
     getters_.emplace(key, [p] { return *p; });
-    setters_.emplace(key, [p](double v) { *p = v; });
+    setters_.emplace(key, [p](double v) {
+      *p = v;
+      return Status::OK();
+    });
   }
   void BindFloat(const char* key, float* p) {
     getters_.emplace(key, [p] { return static_cast<double>(*p); });
-    setters_.emplace(key, [p](double v) { *p = static_cast<float>(v); });
+    setters_.emplace(key, [key, p](double v) {
+      if (std::abs(v) > std::numeric_limits<float>::max()) {
+        return OutOfRange(key, v);
+      }
+      *p = static_cast<float>(v);
+      return Status::OK();
+    });
   }
-  void BindInt(const char* key, int* p) {
+  /// Accepts only integers in [min, 2^digits), digits being T's value
+  /// bits: exactly the doubles that convert to T. Both bounds are exact
+  /// doubles, where T's max need not be (2^64 - 1 rounds up to 2^64).
+  template <typename T>
+  void BindInt(const char* key, T* p, T min = std::numeric_limits<T>::min()) {
     getters_.emplace(key, [p] { return static_cast<double>(*p); });
-    setters_.emplace(key, [p](double v) { *p = static_cast<int>(v); });
-  }
-  void BindI64(const char* key, int64_t* p) {
-    getters_.emplace(key, [p] { return static_cast<double>(*p); });
-    setters_.emplace(key, [p](double v) { *p = static_cast<int64_t>(v); });
-  }
-  void BindSize(const char* key, size_t* p) {
-    getters_.emplace(key, [p] { return static_cast<double>(*p); });
-    setters_.emplace(key, [p](double v) { *p = static_cast<size_t>(v); });
-  }
-  void BindU64(const char* key, uint64_t* p) {
-    getters_.emplace(key, [p] { return static_cast<double>(*p); });
-    setters_.emplace(key, [p](double v) { *p = static_cast<uint64_t>(v); });
-  }
-  void BindRnnKind(const char* key, nn::RnnKind* p) {
-    getters_.emplace(key, [p] { return static_cast<double>(*p); });
-    setters_.emplace(key, [p](double v) {
-      *p = v != 0.0 ? nn::RnnKind::kGru : nn::RnnKind::kLstm;
+    setters_.emplace(key, [key, p, min](double v) {
+      const double end = std::ldexp(1.0, std::numeric_limits<T>::digits);
+      if (v != std::trunc(v) || v < static_cast<double>(min) || v >= end) {
+        return OutOfRange(key, v);
+      }
+      *p = static_cast<T>(v);
+      return Status::OK();
     });
   }
   void BindBool(const char* key, bool* p) {
     getters_.emplace(key, [p] { return *p ? 1.0 : 0.0; });
-    setters_.emplace(key, [p](double v) { *p = v != 0.0; });
+    setters_.emplace(key, [p](double v) {
+      *p = v != 0.0;
+      return Status::OK();
+    });
+  }
+  /// A key with no config field, always written as `value` (the retired
+  /// recurrent-core selectors above); reading any other value fails.
+  void BindFixed(const char* key, double value) {
+    getters_.emplace(key, [value] { return value; });
+    setters_.emplace(key, [key, value](double v) {
+      if (v == value) return Status::OK();
+      return Status::FailedPrecondition(
+          StrFormat("bundle config %s = %g names a retired RSRNet core; "
+                    "this build loads only %s = %g (the single-layer LSTM)",
+                    key, v, key, value));
+    });
   }
 
   std::map<std::string, std::function<double()>> getters_;
-  std::map<std::string, std::function<void(double)>> setters_;
+  std::map<std::string, std::function<Status(double)>> setters_;
 };
 
 void WriteSnapshots(const std::vector<core::GroupSnapshot>& snaps,

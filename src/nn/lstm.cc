@@ -1,8 +1,32 @@
 #include "nn/lstm.h"
 
 #include <cmath>
+#include <cstring>
 
 namespace rl4oasd::nn {
+
+void LstmBatchState::Gather(std::span<const LstmState* const> states,
+                            size_t hidden) {
+  const size_t batch = states.size();
+  h.EnsureShape(batch, hidden);
+  c.EnsureShape(batch, hidden);
+  for (size_t b = 0; b < batch; ++b) {
+    RL4_CHECK_EQ(states[b]->h.size(), hidden);
+    std::memcpy(h.Row(b), states[b]->h.data(), hidden * sizeof(float));
+    std::memcpy(c.Row(b), states[b]->c.data(), hidden * sizeof(float));
+  }
+}
+
+void LstmBatchState::Scatter(std::span<LstmState* const> states) const {
+  const size_t batch = states.size();
+  RL4_CHECK_EQ(batch, h.rows());
+  const size_t hidden = h.cols();
+  for (size_t b = 0; b < batch; ++b) {
+    RL4_CHECK_EQ(states[b]->h.size(), hidden);
+    std::memcpy(states[b]->h.data(), h.Row(b), hidden * sizeof(float));
+    std::memcpy(states[b]->c.data(), c.Row(b), hidden * sizeof(float));
+  }
+}
 
 Lstm::Lstm(std::string name, size_t input_dim, size_t hidden_dim,
            rl4oasd::Rng* rng)
@@ -67,12 +91,10 @@ void Lstm::StepForwardBatch(const Matrix& x, LstmBatchState* state) const {
   RL4_CHECK_EQ(state->h.cols(), hidden_dim_);
   RL4_CHECK_EQ(state->c.rows(), B);
   RL4_CHECK_EQ(state->c.cols(), hidden_dim_);
-  StepRows(B, x.data(), input_dim_, state->h.data(), state->c.data(),
-           hidden_dim_);
+  StepRows(B, x.data(), state->h.data(), state->c.data());
 }
 
-void Lstm::StepRows(size_t batch, const float* x, size_t ldx, float* h,
-                    float* c, size_t ld) const {
+void Lstm::StepRows(size_t batch, const float* x, float* h, float* c) const {
   const size_t H = hidden_dim_;
   const size_t h4 = 4 * H;
   // gates = (X Wx^T + b) + H_prev Wh^T against the k-major copies: row b
@@ -82,14 +104,14 @@ void Lstm::StepRows(size_t batch, const float* x, size_t ldx, float* h,
   // scratch, fully rewritten: no per-step allocation.
   static thread_local Matrix gates;  // batch x 4H
   gates.EnsureShape(batch, h4);
-  Gemm(x, batch, input_dim_, ldx, wx_t_.data(), h4, h4, gates.data(), h4,
-       /*accumulate=*/false);
+  Gemm(x, batch, input_dim_, input_dim_, wx_t_.data(), h4, h4, gates.data(),
+       h4, /*accumulate=*/false);
   const float* bias = b_.value.Row(0);
   for (size_t s = 0; s < batch; ++s) {
     float* g = gates.Row(s);
     for (size_t r = 0; r < h4; ++r) g[r] += bias[r];
   }
-  Gemm(h, batch, H, ld, wh_t_.data(), h4, h4, gates.data(), h4,
+  Gemm(h, batch, H, H, wh_t_.data(), h4, h4, gates.data(), h4,
        /*accumulate=*/true);
   for (size_t s = 0; s < batch; ++s) {
     float* g = gates.Row(s);
@@ -98,8 +120,8 @@ void Lstm::StepRows(size_t batch, const float* x, size_t ldx, float* h,
     const float* fg = g + H;
     const float* gg = g + 2 * H;
     const float* og = g + 3 * H;
-    float* hs = h + s * ld;
-    float* cs = c + s * ld;
+    float* hs = h + s * H;
+    float* cs = c + s * H;
     for (size_t i = 0; i < H; ++i) {
       cs[i] = fg[i] * cs[i] + ig[i] * gg[i];
       hs[i] = og[i] * Tanh(cs[i]);

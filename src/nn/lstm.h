@@ -7,6 +7,7 @@
 //     and StepRows advances B independent streams at once.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,7 +29,8 @@ struct LstmState {
 
 /// Recurrent state of a batch of B streaming LSTMs, sample-major: row b of
 /// the (B x H) matrices is stream b's state, so the gate pre-activations of
-/// the whole batch are two GEMMs.
+/// the whole batch are two GEMMs. Built by gathering per-stream states,
+/// advanced by StepForwardBatch, scattered back.
 struct LstmBatchState {
   Matrix h;  // B x H
   Matrix c;  // B x H
@@ -36,10 +38,13 @@ struct LstmBatchState {
   LstmBatchState() = default;
   LstmBatchState(size_t hidden, size_t batch)
       : h(batch, hidden), c(batch, hidden) {}
-  void Reset() {
-    h.SetZero();
-    c.SetZero();
-  }
+
+  size_t batch() const { return h.rows(); }
+
+  /// Copies states[b] (each `hidden` long) into row b.
+  void Gather(std::span<const LstmState* const> states, size_t hidden);
+  /// Copies row b back into states[b].
+  void Scatter(std::span<LstmState* const> states) const;
 };
 
 /// Per-step cache retained by sequence-mode forward for BPTT.
@@ -64,7 +69,7 @@ class Lstm {
   /// Streaming step: consumes x (length input_dim), updates `state` in
   /// place. The B = 1 call of StepRows; no caches are kept (inference only).
   void StepForward(const float* x, LstmState* state) const {
-    StepRows(1, x, input_dim_, state->h.data(), state->c.data(), hidden_dim_);
+    StepRows(1, x, state->h.data(), state->c.data());
   }
 
   /// Batched step over B independent streams: x is (B x input_dim) with
@@ -73,16 +78,15 @@ class Lstm {
   void StepForwardBatch(const Matrix& x, LstmBatchState* state) const;
 
   /// The one streaming step body, over B streams stored sample-major: row b
-  /// of `x` (row stride ldx) is stream b's input and row b of `h`/`c` (row
-  /// stride ld) its state, updated in place (`x` must not overlap them).
+  /// of `x` (B x input_dim) is stream b's input and row b of `h`/`c`
+  /// (B x H) its state, updated in place (`x` must not overlap them).
   /// The gates are `Gemm(X: B x I, Wx^T)` → `+ b` →
   /// `Gemm(H: B x H, Wh^T, accumulate)` → activations over the k-major
   /// weight copy (see Repack), so they vectorize across the 4H gate outputs
   /// at every batch width. Every gate is the ascending-k product chain of
   /// the sequence Forward, combined as (Wx x + b) + Wh h, so each row is
   /// bit-identical to stepping that stream alone. Inference only.
-  void StepRows(size_t batch, const float* x, size_t ldx, float* h, float* c,
-                size_t ld) const;
+  void StepRows(size_t batch, const float* x, float* h, float* c) const;
 
   /// Rebuilds the k-major copies StepRows reads (Wx^T: I x 4H,
   /// Wh^T: H x 4H) from the parameters. Runs at construction; call it again

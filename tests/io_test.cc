@@ -3,10 +3,14 @@
 // bundles. Failure injection (truncation, bit flips, wrong magic, shape
 // drift) verifies that corrupt inputs are rejected with a clean Status
 // instead of undefined behaviour.
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -369,6 +373,30 @@ class ModelBundleTest : public IoTest {
     cfg.epochs_per_traj = 1;
     return cfg;
   }
+
+  /// Reads a config section holding the one entry `key` = `value`.
+  static Status ReadOneConfigKey(const std::string& key, double value,
+                                 core::Rl4OasdConfig* cfg) {
+    BinaryWriter w;
+    w.WriteU32(1);
+    w.WriteString(key);
+    w.WriteF64(value);
+    BinaryReader r(w.buffer());
+    return io::ReadConfigKv(&r, cfg);
+  }
+
+  /// Overwrites the stored value of config key `key` in the bundle at
+  /// `path` (the f64 right after the key string) and refreshes the CRC, so
+  /// the config reader itself must judge the value.
+  static void PatchConfigValue(const std::string& path, const std::string& key,
+                               double value) {
+    const size_t at = testing::ReadFileBytes(path).find(key);
+    ASSERT_NE(at, std::string::npos) << key;
+    BinaryWriter w;
+    w.WriteF64(value);
+    ASSERT_TRUE(testing::PatchPayloadWithValidCrc(
+        path, at + key.size(), w.buffer().data(), w.buffer().size()));
+  }
 };
 
 TEST_F(ModelBundleTest, ConfigKvRoundTrip) {
@@ -536,6 +564,103 @@ TEST_F(ModelBundleTest, BundleWithAbsentConfigKeysStillLoads) {
   EXPECT_EQ((*loaded)->config().joint_samples, defaults.joint_samples);
   // The kept architecture keys still apply.
   EXPECT_EQ((*loaded)->config().rsr.hidden_dim, 16u);
+}
+
+TEST_F(ModelBundleTest, ConfigValuesOutsideTheirFieldsAreRejected) {
+  // Key-value level: every stored value must fit its field before it
+  // reaches the config — a non-finite value, or an integral field's value
+  // that is fractional or outside the type, would otherwise convert with
+  // undefined behaviour, and a zero time slot trips the Preprocessor's
+  // CHECK. Each must be an InvalidArgument naming the key.
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* key;
+    double value;
+  } cases[] = {
+      {"preprocess.time_slot_hours", 0.0},
+      {"rsr.hidden_dim", -1.0},
+      {"preprocess.alpha", std::nan("")},
+      {"rsr.lr", inf},
+      {"rsr.lr", 1e300},                     // past float
+      {"rsr.embed_dim", 2.5},                // not an integer
+      {"detector.delay_d", 2147483648.0},    // 2^31: past int
+      {"rsr.seed", 18446744073709551616.0},  // 2^64: past uint64_t
+  };
+  for (const auto& c : cases) {
+    core::Rl4OasdConfig cfg;
+    const Status st = ReadOneConfigKey(c.key, c.value, &cfg);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << c.key << " = " << c.value << ": " << st.ToString();
+    EXPECT_NE(st.ToString().find(c.key), std::string::npos) << st.ToString();
+  }
+  // The edges of each range still load.
+  core::Rl4OasdConfig cfg;
+  ASSERT_TRUE(ReadOneConfigKey("preprocess.time_slot_hours", 1.0, &cfg).ok());
+  EXPECT_EQ(cfg.preprocess.time_slot_hours, 1);
+  ASSERT_TRUE(ReadOneConfigKey("detector.delay_d", 2147483647.0, &cfg).ok());
+  EXPECT_EQ(cfg.detector.delay_d, 2147483647);
+  ASSERT_TRUE(ReadOneConfigKey("rsr.seed", 18446744073709549568.0, &cfg).ok());
+  EXPECT_EQ(cfg.rsr.seed, 18446744073709549568u);  // 2^64 - 2^11
+  // An unknown key is skipped whatever it holds.
+  EXPECT_TRUE(
+      ReadOneConfigKey("a.key.from.the.future", std::nan(""), &cfg).ok());
+}
+
+TEST_F(ModelBundleTest, BundleWithOutOfRangeConfigValueLoadsToError) {
+  // Whole-bundle level: a CRC-valid bundle with one patched config value
+  // loads to an InvalidArgument, never an abort.
+  auto net = testing::SmallGrid();
+  core::Rl4Oasd model(&net, TinyConfig());  // untrained is enough
+  for (const auto& [key, value] :
+       {std::pair<std::string, double>{"preprocess.time_slot_hours", 0.0},
+        {"rsr.hidden_dim", -1.0}}) {
+    const std::string path = Path("model.rlmb");
+    ASSERT_TRUE(io::SaveModel(model, path).ok());
+    ASSERT_NO_FATAL_FAILURE(PatchConfigValue(path, key, value));
+    const auto loaded = io::LoadModel(&net, path);
+    ASSERT_FALSE(loaded.ok()) << key;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+    EXPECT_NE(loaded.status().ToString().find(key), std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
+TEST_F(ModelBundleTest, RetiredRecurrentCoreKeysAreRefused) {
+  // RSRNet's core is the single-layer LSTM. Older builds could also write
+  // a GRU (rsr.rnn_kind = 1) or a stacked core (rsr.num_layers > 1); such
+  // a bundle must fail on the config key that names it, not deep in the
+  // tensor reader.
+  for (const auto& [key, value] :
+       {std::pair<std::string, double>{"rsr.rnn_kind", 1.0},
+        {"rsr.num_layers", 2.0}}) {
+    core::Rl4OasdConfig cfg;
+    const Status st = ReadOneConfigKey(key, value, &cfg);
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+    EXPECT_NE(st.ToString().find(key), std::string::npos) << st.ToString();
+  }
+
+  // The same at the bundle level, and the pristine bundle still carries
+  // both keys at the LSTM's values and loads.
+  auto net = testing::SmallGrid();
+  core::Rl4Oasd model(&net, TinyConfig());
+  const std::string path = Path("model.rlmb");
+  ASSERT_TRUE(io::SaveModel(model, path).ok());
+  ASSERT_TRUE(io::LoadModel(&net, path).ok());
+  auto desc = io::DescribeModel(path);
+  ASSERT_TRUE(desc.ok()) << desc.status().ToString();
+  std::map<std::string, double> kv(desc->config.begin(), desc->config.end());
+  ASSERT_EQ(kv.count("rsr.rnn_kind"), 1u);
+  ASSERT_EQ(kv.count("rsr.num_layers"), 1u);
+  EXPECT_EQ(kv["rsr.rnn_kind"], 0.0);
+  EXPECT_EQ(kv["rsr.num_layers"], 1.0);
+
+  ASSERT_NO_FATAL_FAILURE(PatchConfigValue(path, "rsr.rnn_kind", 1.0));
+  const auto gru = io::LoadModel(&net, path);
+  ASSERT_FALSE(gru.ok());
+  EXPECT_EQ(gru.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(gru.status().ToString().find("rsr.rnn_kind"), std::string::npos)
+      << gru.status().ToString();
 }
 
 TEST_F(ModelBundleTest, PreprocessorStateSurvivesRoundTrip) {

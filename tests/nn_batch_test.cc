@@ -1,10 +1,11 @@
 // Batch-vs-streaming equivalence property tests for the batched inference
-// path: the GEMM kernel, batched LSTM/GRU steps, batched Linear forward,
-// batched embedding gather, stacked cores, and RSRNet's batched streaming
-// step — each compared element-wise against the scalar path it fuses.
+// path: the GEMM kernel, the batched LSTM step and its state gather/scatter,
+// batched Linear forward, batched embedding gather, and RSRNet's batched
+// streaming step — each compared element-wise against the scalar path it
+// fuses.
 //
 // Equivalence contract: EXACT equality, no tolerance. The recurrent step
-// has one body (StepRows) over sample-major state rows, and the
+// has one body (Lstm::StepRows) over sample-major state rows, and the
 // single-stream step is its B = 1 call, so a wave of any width runs the
 // same per-row product chains as stepping each stream alone. nn::Gemm adds
 // each output element's products in ascending-k order, exactly like the
@@ -22,11 +23,8 @@
 #include "common/rng.h"
 #include "core/rsrnet.h"
 #include "nn/embedding.h"
-#include "nn/gru.h"
 #include "nn/linear.h"
 #include "nn/lstm.h"
-#include "nn/rnn.h"
-#include "nn/stacked.h"
 #include "nn/tensor.h"
 
 namespace rl4oasd::nn {
@@ -158,77 +156,63 @@ TEST(LinearBatchTest, ForwardBatchMatchesForward) {
   }
 }
 
-// Drives 4 batched steps and B independent scalar streams over the same
-// random inputs (starting from the same random nonzero carried states) at
-// every width in kWidths, and compares the full state after every step.
-template <typename Cell, typename ScalarState, typename BatchState>
-void CheckRecurrentBatchAgainstStreaming(Rng* rng) {
+TEST(LstmBatchTest, StepForwardBatchMatchesStreaming) {
+  // Drives 4 batched steps and B independent scalar streams over the same
+  // random inputs (starting from the same random nonzero carried states) at
+  // every width in kWidths, and compares the full state after every step.
+  Rng rng(21);
   for (const size_t batch : kWidths) {
-    const size_t input_dim = 1 + rng->UniformInt(40);
-    const size_t hidden = 1 + rng->UniformInt(40);
-    Cell cell("t.cell", input_dim, hidden, rng);
+    const size_t input_dim = 1 + rng.UniformInt(40);
+    const size_t hidden = 1 + rng.UniformInt(40);
+    Lstm cell("t.cell", input_dim, hidden, &rng);
     // Random nonzero carried states (a mid-trip batch never starts at 0).
-    std::vector<ScalarState> scalar(batch, ScalarState(hidden));
-    BatchState batched(hidden, batch);
+    std::vector<LstmState> scalar(batch, LstmState(hidden));
+    LstmBatchState batched(hidden, batch);
     for (size_t b = 0; b < batch; ++b) {
-      scalar[b].h = RandomVec(hidden, rng);
+      scalar[b].h = RandomVec(hidden, &rng);
+      scalar[b].c = RandomVec(hidden, &rng);
       std::copy(scalar[b].h.begin(), scalar[b].h.end(), batched.h.Row(b));
-      if constexpr (requires { scalar[b].c; }) {
-        scalar[b].c = RandomVec(hidden, rng);
-        std::copy(scalar[b].c.begin(), scalar[b].c.end(), batched.c.Row(b));
-      }
+      std::copy(scalar[b].c.begin(), scalar[b].c.end(), batched.c.Row(b));
     }
     for (int step = 0; step < 4; ++step) {
-      const Matrix x = RandomMatrix(batch, input_dim, rng);
+      const Matrix x = RandomMatrix(batch, input_dim, &rng);
       cell.StepForwardBatch(x, &batched);
       for (size_t b = 0; b < batch; ++b) {
         cell.StepForward(x.Row(b), &scalar[b]);
         for (size_t r = 0; r < hidden; ++r) {
           EXPECT_EQ(batched.h(b, r), scalar[b].h[r])
               << "h B=" << batch << " sample " << b << " step " << step;
-          if constexpr (requires { scalar[b].c; }) {
-            EXPECT_EQ(batched.c(b, r), scalar[b].c[r])
-                << "c B=" << batch << " sample " << b << " step " << step;
-          }
+          EXPECT_EQ(batched.c(b, r), scalar[b].c[r])
+              << "c B=" << batch << " sample " << b << " step " << step;
         }
       }
     }
   }
 }
 
-TEST(LstmBatchTest, StepForwardBatchMatchesStreaming) {
-  Rng rng(21);
-  CheckRecurrentBatchAgainstStreaming<Lstm, LstmState, LstmBatchState>(&rng);
-}
-
-TEST(GruBatchTest, StepForwardBatchMatchesStreaming) {
-  Rng rng(22);
-  CheckRecurrentBatchAgainstStreaming<Gru, GruState, GruBatchState>(&rng);
-}
-
-TEST(RnnBatchStateTest, GatherScatterRoundTrips) {
+TEST(LstmBatchStateTest, GatherScatterRoundTrips) {
   Rng rng(31);
-  const size_t S = 11;
+  const size_t H = 11;
   const size_t B = 5;
-  std::vector<RnnState> states(B, RnnState(S));
+  std::vector<LstmState> states(B, LstmState(H));
   for (auto& s : states) {
-    s.h = RandomVec(S, &rng);
-    s.c = RandomVec(S, &rng);
+    s.h = RandomVec(H, &rng);
+    s.c = RandomVec(H, &rng);
   }
-  std::vector<const RnnState*> in;
-  std::vector<RnnState*> out;
+  std::vector<const LstmState*> in;
+  std::vector<LstmState*> out;
   for (auto& s : states) {
     in.push_back(&s);
     out.push_back(&s);
   }
-  RnnBatchState batch;
-  batch.Gather(in, S);
+  LstmBatchState batch;
+  batch.Gather(in, H);
   ASSERT_EQ(batch.batch(), B);
   for (size_t b = 0; b < B; ++b) {  // sample-major: row b is stream b
-    EXPECT_EQ(Vec(batch.h.Row(b), batch.h.Row(b) + S), states[b].h);
-    EXPECT_EQ(Vec(batch.c.Row(b), batch.c.Row(b) + S), states[b].c);
+    EXPECT_EQ(Vec(batch.h.Row(b), batch.h.Row(b) + H), states[b].h);
+    EXPECT_EQ(Vec(batch.c.Row(b), batch.c.Row(b) + H), states[b].c);
   }
-  const std::vector<RnnState> before = states;
+  const std::vector<LstmState> before = states;
   for (auto& s : states) s.Reset();
   batch.Scatter(out);
   for (size_t b = 0; b < B; ++b) {
@@ -237,67 +221,7 @@ TEST(RnnBatchStateTest, GatherScatterRoundTrips) {
   }
 }
 
-void CheckRecurrentNetBatch(RnnKind kind, size_t layers, uint64_t seed) {
-  Rng rng(seed);
-  for (const size_t batch : kWidths) {
-    const size_t input_dim = 1 + rng.UniformInt(20);
-    const size_t hidden = 1 + rng.UniformInt(20);
-    std::unique_ptr<RecurrentNet> net;
-    if (layers > 1) {
-      net = std::make_unique<StackedRnn>(kind, "t.net", input_dim, hidden,
-                                         layers, &rng);
-    } else {
-      net = MakeRecurrentNet(kind, "t.net", input_dim, hidden, &rng);
-    }
-    const size_t S = net->state_size();
-    std::vector<RnnState> scalar(batch, RnnState(S));
-    for (auto& s : scalar) {
-      s.h = RandomVec(S, &rng);
-      s.c = RandomVec(S, &rng);
-    }
-    std::vector<const RnnState*> gather_ptrs;
-    std::vector<RnnState*> scatter_ptrs;
-    std::vector<RnnState> batched_states = scalar;  // copies evolve via batch
-    for (auto& s : batched_states) {
-      gather_ptrs.push_back(&s);
-      scatter_ptrs.push_back(&s);
-    }
-    for (int step = 0; step < 3; ++step) {
-      const Matrix x = RandomMatrix(batch, input_dim, &rng);
-      RnnBatchState bstate;
-      bstate.Gather(gather_ptrs, S);
-      net->StepForwardBatch(x, &bstate);
-      bstate.Scatter(scatter_ptrs);
-      for (size_t b = 0; b < batch; ++b) {
-        net->StepForward(x.Row(b), &scalar[b]);
-        EXPECT_EQ(batched_states[b].h, scalar[b].h)
-            << RnnKindName(kind) << " h B=" << batch << " sample " << b;
-        EXPECT_EQ(batched_states[b].c, scalar[b].c)
-            << RnnKindName(kind) << " c B=" << batch << " sample " << b;
-      }
-    }
-  }
-}
-
-TEST(RecurrentNetBatchTest, LstmAdapterMatchesStreaming) {
-  CheckRecurrentNetBatch(RnnKind::kLstm, 1, 41);
-}
-
-TEST(RecurrentNetBatchTest, GruAdapterMatchesStreaming) {
-  CheckRecurrentNetBatch(RnnKind::kGru, 1, 42);
-}
-
-TEST(RecurrentNetBatchTest, StackedLstmMatchesStreaming) {
-  CheckRecurrentNetBatch(RnnKind::kLstm, 3, 43);
-}
-
-TEST(RecurrentNetBatchTest, StackedGruMatchesStreaming) {
-  CheckRecurrentNetBatch(RnnKind::kGru, 2, 44);
-}
-
-class RsrNetBatchTest : public ::testing::TestWithParam<nn::RnnKind> {};
-
-TEST_P(RsrNetBatchTest, StepForwardBatchMatchesScalar) {
+TEST(RsrNetBatchTest, StepForwardBatchMatchesScalar) {
   // Persistent per-trip streams advanced through waves of every width in
   // kWidths, each over a random subset of the streams — the ragged final
   // batch of a draining ingest wave is just a smaller B, and a stream's
@@ -307,8 +231,6 @@ TEST_P(RsrNetBatchTest, StepForwardBatchMatchesScalar) {
   cfg.embed_dim = 12;
   cfg.nrf_dim = 6;
   cfg.hidden_dim = 10;
-  cfg.rnn_kind = GetParam();
-  cfg.num_layers = GetParam() == nn::RnnKind::kLstm ? 2 : 1;
   core::RsrNet net(cfg);
 
   Rng rng(55);
@@ -354,10 +276,6 @@ TEST_P(RsrNetBatchTest, StepForwardBatchMatchesScalar) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Kinds, RsrNetBatchTest,
-                         ::testing::Values(nn::RnnKind::kLstm,
-                                           nn::RnnKind::kGru));
 
 }  // namespace
 }  // namespace rl4oasd::nn

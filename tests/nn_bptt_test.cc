@@ -20,10 +20,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "nn/gru.h"
 #include "nn/linear.h"
 #include "nn/lstm.h"
-#include "nn/stacked.h"
 
 namespace rl4oasd::nn {
 namespace {
@@ -123,90 +121,6 @@ TEST(NnBpttTest, LstmBackwardSeqBitIdenticalToPerStep) {
   }
 }
 
-TEST(NnBpttTest, GruBackwardSeqBitIdenticalToPerStep) {
-  for (const Shape& s : kShapes) {
-    Rng rng(211 + s.input + s.hidden + s.steps);
-    Gru gru("t", s.input, s.hidden, &rng);
-    ParameterRegistry reg;
-    gru.RegisterParams(&reg);
-    const auto xs = RandomInputs(s.steps, s.input, &rng);
-    const auto caches = gru.Forward(Pointers(xs));
-
-    std::vector<Vec> d_h_vec(s.steps, Vec(s.hidden));
-    Matrix d_h_mat(s.steps, s.hidden);
-    for (size_t t = 0; t < s.steps; ++t) {
-      for (size_t i = 0; i < s.hidden; ++i) {
-        d_h_vec[t][i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
-        d_h_mat(t, i) = d_h_vec[t][i];
-      }
-    }
-
-    reg.ZeroGrad();
-    std::vector<Vec> d_x_ref;
-    gru.Backward(caches, d_h_vec, &d_x_ref);
-    const auto ref = GradSnapshot(reg);
-
-    reg.ZeroGrad();
-    Matrix d_x_seq;
-    gru.BackwardSeq(caches, d_h_mat, &d_x_seq);
-    const auto seq = GradSnapshot(reg);
-
-    for (size_t k = 0; k < ref.size(); ++k) {
-      EXPECT_TRUE(BitIdentical(ref[k], seq[k], reg.params()[k]->name.c_str()))
-          << "shape (" << s.input << "," << s.hidden << "," << s.steps << ")";
-    }
-    for (size_t t = 0; t < s.steps; ++t) {
-      for (size_t i = 0; i < s.input; ++i) {
-        ASSERT_EQ(d_x_ref[t][i], d_x_seq(t, i));
-      }
-    }
-  }
-}
-
-TEST(NnBpttTest, StackedBackwardSeqBitIdenticalAcrossDepthsAndKinds) {
-  for (RnnKind kind : {RnnKind::kLstm, RnnKind::kGru}) {
-    for (size_t layers : {size_t{1}, size_t{2}, size_t{3}}) {
-      Rng rng(331 + layers + static_cast<size_t>(kind));
-      StackedRnn net(kind, "t", 9, 11, layers, &rng);
-      ParameterRegistry reg;
-      net.RegisterParams(&reg);
-      const size_t steps = 17;
-      const auto xs = RandomInputs(steps, 9, &rng);
-      const auto cache = net.Forward(Pointers(xs));
-
-      std::vector<Vec> d_h_vec(steps, Vec(11));
-      Matrix d_h_mat(steps, 11);
-      for (size_t t = 0; t < steps; ++t) {
-        for (size_t i = 0; i < 11u; ++i) {
-          d_h_vec[t][i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
-          d_h_mat(t, i) = d_h_vec[t][i];
-        }
-      }
-
-      reg.ZeroGrad();
-      std::vector<Vec> d_x_ref;
-      net.Backward(*cache, d_h_vec, &d_x_ref);
-      const auto ref = GradSnapshot(reg);
-
-      reg.ZeroGrad();
-      Matrix d_x_seq;
-      net.BackwardSeq(*cache, d_h_mat, &d_x_seq);
-      const auto seq = GradSnapshot(reg);
-
-      for (size_t k = 0; k < ref.size(); ++k) {
-        EXPECT_TRUE(
-            BitIdentical(ref[k], seq[k], reg.params()[k]->name.c_str()))
-            << RnnKindName(kind) << " layers=" << layers;
-      }
-      for (size_t t = 0; t < steps; ++t) {
-        for (size_t i = 0; i < 9u; ++i) {
-          ASSERT_EQ(d_x_ref[t][i], d_x_seq(t, i));
-        }
-      }
-    }
-  }
-}
-
 TEST(NnBpttTest, LinearBackwardSeqBitIdenticalToPerStep) {
   for (const auto& [in, out, steps] :
        {std::tuple<size_t, size_t, size_t>{5, 2, 1},
@@ -249,7 +163,7 @@ TEST(NnBpttTest, GradientSinkRoutesBitIdenticalGradients) {
   // buffers start zeroed, and folding adds each element once into a zeroed
   // registry gradient.
   Rng rng(557);
-  StackedRnn net(RnnKind::kLstm, "t", 6, 10, 2, &rng);
+  Lstm net("t", 6, 10, &rng);
   ParameterRegistry reg;
   net.RegisterParams(&reg);
   const size_t steps = 23;
@@ -262,13 +176,13 @@ TEST(NnBpttTest, GradientSinkRoutesBitIdenticalGradients) {
 
   reg.ZeroGrad();
   Matrix d_x_direct;
-  net.BackwardSeq(*cache, d_h, &d_x_direct);
+  net.BackwardSeq(cache, d_h, &d_x_direct);
   const auto direct = GradSnapshot(reg);
 
   reg.ZeroGrad();
   GradientSink sink(reg);
   Matrix d_x_sink;
-  net.BackwardSeq(*cache, d_h, &d_x_sink, &sink);
+  net.BackwardSeq(cache, d_h, &d_x_sink, &sink);
   // Nothing may have touched the registry gradients yet.
   for (const Parameter* p : reg.params()) {
     for (size_t i = 0; i < p->grad.size(); ++i) {
@@ -286,7 +200,7 @@ TEST(NnBpttTest, GradientSinkRoutesBitIdenticalGradients) {
 
   // Reset restores the all-zero invariant for reuse.
   sink.Reset();
-  net.BackwardSeq(*cache, d_h, &d_x_sink, &sink);
+  net.BackwardSeq(cache, d_h, &d_x_sink, &sink);
   reg.ZeroGrad();
   sink.AddToParams();
   const auto reused = GradSnapshot(reg);

@@ -455,14 +455,12 @@ TEST_F(FleetSnapshotTest, SessionImportRejectsLies) {
   }
 }
 
-TEST_F(FleetSnapshotTest, StackedRnnNeverFedTripSnapshotRestores) {
-  // Regression: a never-fed session's stream must already carry the full
-  // num_layers * hidden state so its exported record round-trips — with a
-  // stacked core, lazily sizing the stream to hidden_dim made a snapshot
-  // the monitor itself just wrote unrestorable.
-  core::Rl4OasdConfig cfg = TinyConfig();
-  cfg.rsr.num_layers = 2;
-  const auto model = std::make_shared<core::Rl4Oasd>(net_, cfg);
+TEST_F(FleetSnapshotTest, NeverFedTripSnapshotRestores) {
+  // Regression: a never-fed session's stream must already carry a full
+  // hidden-size state so its exported record round-trips — a stream sized
+  // lazily on its first point made a snapshot the monitor itself just
+  // wrote unrestorable.
+  const auto model = std::make_shared<core::Rl4Oasd>(net_, TinyConfig());
   const auto picks = PickTrips(3);
 
   EventSink sink;
