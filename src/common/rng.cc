@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numeric>
+
+#include "common/logging.h"
 
 namespace rl4oasd {
 
@@ -126,6 +129,18 @@ CategoricalSampler::CategoricalSampler(const std::vector<double>& weights) {
   // n * ulp(total) / 2 of the real prefix sums; 4x that covers both sides
   // with margin. Draws inside the band replay the exact scan.
   guard_ = 4.0 * static_cast<double>(n) * (total_ * 0x1.0p-52);
+  if (total_ <= 0.0) return;  // Sample falls back to UniformInt
+  RL4_CHECK_LT(n, size_t{std::numeric_limits<uint32_t>::max()});
+  num_buckets_ = n;
+  bucket_scale_ = static_cast<double>(n) / total_;
+  // prefix_[1..n] is non-decreasing and Bucket is monotone, so one merge
+  // pass finds each bucket's first prefix position.
+  guide_.resize(num_buckets_ + 1);
+  size_t p = 1;
+  for (size_t j = 0; j <= num_buckets_; ++j) {
+    while (p <= n && Bucket(prefix_[p]) < j) ++p;
+    guide_[j] = static_cast<uint32_t>(p);
+  }
 }
 
 size_t CategoricalSampler::Sample(Rng* rng) const {
@@ -133,13 +148,18 @@ size_t CategoricalSampler::Sample(Rng* rng) const {
   const size_t n = weights_.size();
   if (total_ <= 0.0) return rng->UniformInt(n);
   const double r = rng->Uniform() * total_;
-  const auto it = std::upper_bound(prefix_.begin() + 1, prefix_.end(), r);
+  // upper_bound over prefix_[1..n], narrowed to r's bucket: every prefix
+  // sum before guide_[j] lies in a lower bucket, so is < r, and
+  // prefix_[guide_[j + 1]] lies in a higher one, so is > r.
+  const size_t j = Bucket(r);
+  const auto it = std::upper_bound(prefix_.begin() + guide_[j],
+                                   prefix_.begin() + guide_[j + 1], r);
   const size_t idx = static_cast<size_t>(it - prefix_.begin()) - 1;
   if (idx < n && r - prefix_[idx] > guard_ && prefix_[idx + 1] - r > guard_) {
     return idx;
   }
-  // Near a prefix boundary (or rounded past the last one): the binary
-  // search is not certifiably equal to the scan, so run the scan itself.
+  // Near a prefix boundary (or rounded past the last one): the prefix-sum
+  // index is not certifiably equal to the scan, so run the scan itself.
   double rem = r;
   for (size_t i = 0; i < n; ++i) {
     if (rem < weights_[i]) return i;

@@ -63,7 +63,7 @@ class Rng {
   /// Non-positive weights are treated as zero; if all are zero, samples
   /// uniformly. O(weights.size()) per draw — for repeated draws from a
   /// fixed weight vector use CategoricalSampler, which replays this exact
-  /// draw sequence in O(log n).
+  /// draw sequence in O(1) expected time per draw.
   size_t Categorical(const std::vector<double>& weights);
 
   /// Fisher-Yates shuffle.
@@ -88,17 +88,29 @@ class Rng {
 
 /// Repeated categorical sampling from a FIXED weight vector, bit-identical
 /// to calling rng.Categorical(weights) (same indices, same RNG consumption)
-/// but O(log n) per draw instead of O(n).
+/// but O(1) expected per draw instead of O(n).
 ///
 /// Why the results match exactly: Categorical's subtractive scan
 /// (r -= w_i until r < w_i) is a monotone step function of the drawn
 /// uniform, and its floating-point value stays within a provable error band
 /// of the real prefix sums. When the draw lands farther than `guard_` from
-/// the two bracketing precomputed prefix sums, the binary-search index and
-/// the scan's index are necessarily equal; in the astronomically rare
-/// near-boundary case (probability ~n^2 * 2^-50 per draw) the sampler
-/// replays the original scan verbatim. Negative-sampling loops (skip-gram)
-/// are the intended user.
+/// the two bracketing precomputed prefix sums, the prefix-sum index
+/// (upper_bound of r) and the scan's index are necessarily equal; in the
+/// astronomically rare near-boundary case (probability ~n^2 * 2^-50 per
+/// draw) the sampler replays the original scan verbatim. Negative-sampling
+/// loops (skip-gram) are the intended user.
+///
+/// The upper_bound itself runs over a guide table (Chen & Asau's indexed
+/// search): n equal-width buckets over [0, total), and per bucket the range
+/// of prefix-sum positions its draws can resolve to. The table is built by
+/// evaluating the same monotone bucket function on the prefix sums that a
+/// draw evaluates on r, so the range provably contains upper_bound's answer
+/// — no rounding slack — and the binary search inside it returns exactly
+/// the whole-array answer. A bucket holds one or two prefix sums on
+/// average; a dominated weight vector crowds thousands into one, which the
+/// binary search keeps at O(log n). The guard check doubles as a check of
+/// the search: only the true bracket passes it, so a search error could
+/// cost a scan but never change an index.
 class CategoricalSampler {
  public:
   explicit CategoricalSampler(const std::vector<double>& weights);
@@ -109,10 +121,25 @@ class CategoricalSampler {
   double total() const { return total_; }
 
  private:
+  /// Bucket of a value in [0, total_]: monotone non-decreasing, so a draw
+  /// r and a prefix sum compare the same way as their buckets do whenever
+  /// the buckets differ.
+  size_t Bucket(double x) const {
+    const double b = x * bucket_scale_;
+    return b < static_cast<double>(num_buckets_) ? static_cast<size_t>(b)
+                                                  : num_buckets_ - 1;
+  }
+
   std::vector<double> weights_;  // clamped copy (w <= 0 -> 0), scan fallback
   std::vector<double> prefix_;   // prefix_[i] = clamped sum of weights_[0..i)
   double total_ = 0.0;           // == Categorical's own clamped sum
   double guard_ = 0.0;           // boundary band where the scan is replayed
+  size_t num_buckets_ = 0;       // n (built only when total_ > 0)
+  double bucket_scale_ = 0.0;    // num_buckets_ / total_
+  /// guide_[j] = first prefix position p >= 1 with Bucket(prefix_[p]) >= j
+  /// (n + 1 if none); a draw in bucket j resolves inside
+  /// [guide_[j], guide_[j + 1]].
+  std::vector<uint32_t> guide_;
 };
 
 }  // namespace rl4oasd

@@ -12,6 +12,14 @@ using roadnet::EdgeId;
 SkipGramTrainer::SkipGramTrainer(const roadnet::RoadNetwork* net,
                                  SkipGramConfig config)
     : net_(net), config_(config), rng_(config.seed) {
+  // A window of 0 would draw UniformInt(0) and a negative one never ends;
+  // the model-bundle reader rejects the same values by key.
+  RL4_CHECK_GE(config_.dim, size_t{1});
+  RL4_CHECK_GE(config_.window, 1);
+  RL4_CHECK_GE(config_.walk_length, 1);
+  RL4_CHECK_GE(config_.negatives, 0);
+  RL4_CHECK_GE(config_.epochs, 0);
+  RL4_CHECK_GE(config_.random_walks_per_edge, 0);
   const size_t n = net->NumEdges();
   in_.Resize(n, config_.dim);
   out_.Resize(n, config_.dim);
@@ -24,6 +32,10 @@ SkipGramTrainer::SkipGramTrainer(const roadnet::RoadNetwork* net,
     aux_w_.data()[i] = static_cast<float>(rng_.Uniform(-scale, scale));
   }
   unigram_.assign(n, 1.0);
+  const size_t max_targets = static_cast<size_t>(config_.negatives) + 1;
+  grad_in_.resize(config_.dim);
+  targets_.reserve(max_targets);
+  dots_.resize(max_targets);
 }
 
 std::vector<std::vector<EdgeId>> SkipGramTrainer::BuildCorpus(
@@ -59,36 +71,75 @@ std::vector<std::vector<EdgeId>> SkipGramTrainer::BuildCorpus(
   return corpus;
 }
 
-double SkipGramTrainer::UpdatePair(EdgeId center, EdgeId context, double lr) {
+namespace {
+
+/// out[t] = Dot(a, m.Row(rows[t]), m.cols()) for N rows at once: N
+/// independent chains, each summed in ascending index order exactly like
+/// nn::Dot, so each result is the same float; interleaving them only hides
+/// the add latency of one serial chain behind the others.
+template <size_t N>
+void InterleavedDots(const float* a, const nn::Matrix& m, const EdgeId* rows,
+                     float* out) {
+  const float* row[N];
+  for (size_t t = 0; t < N; ++t) row[t] = m.Row(rows[t]);
+  float acc[N] = {};
+  for (size_t d = 0; d < m.cols(); ++d) {
+    const float ad = a[d];
+    for (size_t t = 0; t < N; ++t) acc[t] += ad * row[t][d];
+  }
+  for (size_t t = 0; t < N; ++t) out[t] = acc[t];
+}
+
+}  // namespace
+
+void SkipGramTrainer::UpdatePair(EdgeId center, EdgeId context, double lr) {
   const size_t dim = config_.dim;
   float* v_in = in_.Row(center);
-  std::vector<float> grad_in(dim, 0.0f);
-  double loss = 0.0;
-
-  auto step = [&](EdgeId target, float label) {
-    float* v_out = out_.Row(target);
-    const float dot = nn::Dot(v_in, v_out, dim);
-    const float p = nn::Sigmoid(dot);
-    loss += -(label > 0.5f ? std::log(std::max(p, 1e-7f))
-                           : std::log(std::max(1.0f - p, 1e-7f)));
-    const float g = (p - label) * static_cast<float>(lr);
+  // The pair's targets: the context (label 1), then the negatives (label
+  // 0) in draw order. Negative sampling is the inner loop of the whole
+  // embed phase; neg_sampler_ replays rng_.Categorical(unigram_)
+  // draw-for-draw. Drawing every negative before the first dot product
+  // moves no draw, since nothing else reads rng_ inside a pair.
+  targets_.clear();
+  targets_.push_back(context);
+  for (int k = 0; k < config_.negatives; ++k) {
+    const EdgeId neg = static_cast<EdgeId>(neg_sampler_->Sample(&rng_));
+    if (neg == context || neg == center) continue;
+    targets_.push_back(neg);
+  }
+  const size_t count = targets_.size();
+  bool distinct = true;  // the context never equals a kept negative
+  for (size_t t = 2; t < count && distinct; ++t) {
+    const auto at = targets_.begin() + static_cast<std::ptrdiff_t>(t);
+    distinct = std::find(targets_.begin() + 1, at, *at) == at;
+  }
+  // Distinct targets each update a different out_ row, and v_in changes
+  // only after the last target, so every dot product can run before any
+  // update. A repeated target must see the previous update to its row:
+  // then each dot runs just before its own update, in order.
+  if (distinct) {
+    size_t t = 0;
+    for (; t + 4 <= count; t += 4) {
+      InterleavedDots<4>(v_in, out_, &targets_[t], &dots_[t]);
+    }
+    if (t + 2 <= count) {
+      InterleavedDots<2>(v_in, out_, &targets_[t], &dots_[t]);
+      t += 2;
+    }
+    if (t < count) InterleavedDots<1>(v_in, out_, &targets_[t], &dots_[t]);
+  }
+  std::fill(grad_in_.begin(), grad_in_.end(), 0.0f);
+  for (size_t t = 0; t < count; ++t) {
+    float* v_out = out_.Row(targets_[t]);
+    const float dot = distinct ? dots_[t] : nn::Dot(v_in, v_out, dim);
+    const float label = t == 0 ? 1.0f : 0.0f;
+    const float g = (nn::Sigmoid(dot) - label) * static_cast<float>(lr);
     for (size_t d = 0; d < dim; ++d) {
-      grad_in[d] += g * v_out[d];
+      grad_in_[d] += g * v_out[d];
       v_out[d] -= g * v_in[d];
     }
-  };
-
-  step(context, 1.0f);
-  for (int k = 0; k < config_.negatives; ++k) {
-    // Negative sampling is the inner loop of the whole embed phase;
-    // neg_sampler_ replays rng_.Categorical(unigram_) draw-for-draw in
-    // O(log n) instead of two O(n) passes.
-    EdgeId neg = static_cast<EdgeId>(neg_sampler_->Sample(&rng_));
-    if (neg == context || neg == center) continue;
-    step(neg, 0.0f);
   }
-  for (size_t d = 0; d < dim; ++d) v_in[d] -= grad_in[d];
-  return loss;
+  for (size_t d = 0; d < dim; ++d) v_in[d] -= grad_in_[d];
 }
 
 void SkipGramTrainer::UpdateAux(EdgeId center, double lr) {

@@ -50,9 +50,9 @@ class SkipGramTrainer {
       const traj::Dataset& dataset);
 
   /// One (center, context) positive update with `negatives` sampled
-  /// negatives. Returns the skip-gram loss contribution.
-  double UpdatePair(roadnet::EdgeId center, roadnet::EdgeId context,
-                    double lr);
+  /// negatives (a draw equal to the center or the context is skipped).
+  void UpdatePair(roadnet::EdgeId center, roadnet::EdgeId context,
+                  double lr);
 
   /// Auxiliary step: nudge the center vector toward predicting its road
   /// class (3-way softmax).
@@ -65,9 +65,13 @@ class SkipGramTrainer {
   nn::Matrix out_;   // NumEdges x dim
   nn::Matrix aux_w_; // 3 x dim road-class head
   std::vector<double> unigram_;  // negative-sampling distribution (pow 0.75)
-  /// O(log n) negative sampler over unigram_, rebuilt by Train after
+  /// O(1) negative sampler over unigram_, rebuilt by Train after
   /// BuildCorpus; bit-identical to rng_.Categorical(unigram_).
   std::unique_ptr<CategoricalSampler> neg_sampler_;
+  // UpdatePair scratch, sized from config_ at construction.
+  std::vector<float> grad_in_;            // dim
+  std::vector<roadnet::EdgeId> targets_;  // context + kept negatives
+  std::vector<float> dots_;               // v_in . out_ row, per target
 };
 
 }  // namespace rl4oasd::embed

@@ -59,15 +59,17 @@ class ConfigKvView {
     BindBool("detector.stochastic", &c->detector.stochastic);
     BindInt("detector.seed", &c->detector.seed);
 
-    BindInt("embedding.dim", &c->embedding.dim);
-    BindInt("embedding.window", &c->embedding.window);
-    BindInt("embedding.negatives", &c->embedding.negatives);
-    BindInt("embedding.epochs", &c->embedding.epochs);
+    // SkipGramTrainer CHECK-fails below these minimums (a window of 0
+    // would divide by zero drawing the window, a negative one never ends).
+    BindInt("embedding.dim", &c->embedding.dim, /*min=*/size_t{1});
+    BindInt("embedding.window", &c->embedding.window, /*min=*/1);
+    BindInt("embedding.negatives", &c->embedding.negatives, /*min=*/0);
+    BindInt("embedding.epochs", &c->embedding.epochs, /*min=*/0);
     Bind("embedding.lr", &c->embedding.lr);
     Bind("embedding.min_lr", &c->embedding.min_lr);
     BindInt("embedding.random_walks_per_edge",
-            &c->embedding.random_walks_per_edge);
-    BindInt("embedding.walk_length", &c->embedding.walk_length);
+            &c->embedding.random_walks_per_edge, /*min=*/0);
+    BindInt("embedding.walk_length", &c->embedding.walk_length, /*min=*/1);
     Bind("embedding.aux_weight", &c->embedding.aux_weight);
     BindInt("embedding.seed", &c->embedding.seed);
 

@@ -63,19 +63,6 @@ void Lstm::Repack() {
   TransposeInto(wh_.value, &wh_t_);
 }
 
-void Lstm::FinishGates(const float* h_prev, float* gates) const {
-  const size_t h4 = 4 * hidden_dim_;
-  // gates = (Wx x + b) + Wh h_prev, with the recurrent dot product summed
-  // on its own before the single add — the same association StepRows'
-  // GEMMs use (fresh product chain, added to C once), so the sequence
-  // forward and the streaming step agree bit-for-bit.
-  for (size_t r = 0; r < h4; ++r) {
-    gates[r] = gates[r] + b_.value(0, r) +
-               Dot(wh_.value.Row(r), h_prev, hidden_dim_);
-  }
-  ActivateGates(gates);
-}
-
 void Lstm::ActivateGates(float* gates) const {
   const size_t H = hidden_dim_;
   for (size_t i = 0; i < H; ++i) gates[i] = Sigmoid(gates[i]);
@@ -99,9 +86,9 @@ void Lstm::StepRows(size_t batch, const float* x, float* h, float* c) const {
   const size_t h4 = 4 * H;
   // gates = (X Wx^T + b) + H_prev Wh^T against the k-major copies: row b
   // holds stream b's 4H pre-activations, each the same ascending-k chain,
-  // in the same association, as FinishGates. The recurrent GEMM reads every
-  // h row before the cell update below overwrites any. Thread-local
-  // scratch, fully rewritten: no per-step allocation.
+  // in the same association, as the sequence Forward. The recurrent GEMM
+  // reads every h row before the cell update below overwrites any.
+  // Thread-local scratch, fully rewritten: no per-step allocation.
   static thread_local Matrix gates;  // batch x 4H
   gates.EnsureShape(batch, h4);
   Gemm(x, batch, input_dim_, input_dim_, wx_t_.data(), h4, h4, gates.data(),
@@ -138,9 +125,14 @@ std::vector<LstmStepCache> Lstm::Forward(
   // Input projection for all timesteps in one GEMM: pack the inputs
   // feature-major (I x T) and compute Wx * X as (4H x T). Each element is
   // the same ascending-k chain StepRows' GEMM runs per step, so the gates
-  // are bit-identical to stepping StepForward.
-  static thread_local Matrix xf;  // I x T
-  static thread_local Matrix wxx;  // 4H x T
+  // are bit-identical to stepping StepForward. The recurrent term runs as
+  // StepRows' 1-row GEMM over a k-major copy of Wh (H x 4H) built here, per
+  // call, rather than Repack's wh_t_, so the forward reads the parameters
+  // as they are now: finite-difference checks perturb wh_ in place without
+  // a Repack.
+  static thread_local Matrix xf;    // I x T
+  static thread_local Matrix wxx;   // 4H x T
+  static thread_local Matrix wh_t;  // H x 4H
   xf.EnsureShape(input_dim_, T);
   for (size_t t = 0; t < T; ++t) {
     const float* x = inputs[t];
@@ -148,15 +140,23 @@ std::vector<LstmStepCache> Lstm::Forward(
     for (size_t r = 0; r < input_dim_; ++r) col[r * T] = x[r];
   }
   MatMul(wx_.value, xf, &wxx);
+  TransposeInto(wh_.value, &wh_t);
+  const float* bias = b_.value.Row(0);
   Vec h_prev(H, 0.0f);
   Vec c_prev(H, 0.0f);
   for (size_t t = 0; t < T; ++t) {
     LstmStepCache& cache = caches[t];
     cache.x.assign(inputs[t], inputs[t] + input_dim_);
     cache.gates.resize(4 * H);
+    // gates = (Wx x + b) + Wh h_prev: the recurrent chain is summed on its
+    // own and added once, StepRows' association.
     const float* wcol = wxx.data() + t;
-    for (size_t r = 0; r < 4 * H; ++r) cache.gates[r] = wcol[r * T];
-    FinishGates(h_prev.data(), cache.gates.data());
+    for (size_t r = 0; r < 4 * H; ++r) {
+      cache.gates[r] = wcol[r * T] + bias[r];
+    }
+    Gemm(h_prev.data(), 1, H, H, wh_t.data(), 4 * H, 4 * H,
+         cache.gates.data(), 4 * H, /*accumulate=*/true);
+    ActivateGates(cache.gates.data());
     cache.c_prev = c_prev;
     cache.c.resize(H);
     cache.tanh_c.resize(H);

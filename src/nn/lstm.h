@@ -99,7 +99,9 @@ class Lstm {
   /// Sequence forward from the zero state. Returns per-step caches (the
   /// hidden output of step t is caches[t].h). The input projection of all
   /// timesteps runs as one (4H x I) * (I x T) GEMM; the recurrent part is
-  /// inherently sequential. Bit-identical to stepping StepForward.
+  /// inherently sequential, one 1-row GEMM per step against a k-major copy
+  /// of Wh taken from the parameters at the start of the call (never
+  /// Repack's). Bit-identical to stepping StepForward.
   std::vector<LstmStepCache> Forward(
       const std::vector<const float*>& inputs) const;
 
@@ -131,12 +133,8 @@ class Lstm {
   }
 
  private:
-  /// The recurrent tail of the sequence forward: `gates` already holds
-  /// Wx x and gets + b + Wh h_prev and the activations.
-  void FinishGates(const float* h_prev, float* gates) const;
-
   /// In-place activations of the 4H gate pre-activations: [i, f] sigmoid,
-  /// [g] tanh, [o] sigmoid (shared by FinishGates and StepRows).
+  /// [g] tanh, [o] sigmoid (shared by Forward and StepRows).
   void ActivateGates(float* gates) const;
 
   size_t input_dim_;

@@ -152,6 +152,7 @@ void EdgeDijkstra::SetTargets(const EdgeId* targets, size_t count) {
 void EdgeDijkstra::Run(EdgeId src, double max_dist_m) {
   BumpRunEpoch();
   heap_.clear();
+  settled_.clear();
   const auto cmp = [](const std::pair<double, EdgeId>& a,
                       const std::pair<double, EdgeId>& b) {
     return a.first > b.first;  // min-heap on distance
@@ -169,6 +170,7 @@ void EdgeDijkstra::Run(EdgeId src, double max_dist_m) {
     if (d > dist_[ei]) continue;  // lazy deletion of a superseded entry
     if (finished_epoch_[ei] != run_epoch_) {
       finished_epoch_[ei] = run_epoch_;
+      settled_.push_back(e);
       if (targets_left > 0 && target_epoch_[ei] == target_gen_ &&
           --targets_left == 0) {
         return;  // every declared target settled — its distance is final
@@ -198,12 +200,15 @@ void EdgeDistanceTable::Build(const RoadNetwork& net, double bound_m) {
   // numerical coincidence.
   EdgeDijkstra search(&net);
   for (EdgeId src = 0; src < static_cast<EdgeId>(n); ++src) {
-    offsets_[static_cast<size_t>(src)] = entries_.size();
+    const size_t row = entries_.size();
+    offsets_[static_cast<size_t>(src)] = row;
     search.Run(src, bound_m);
-    for (size_t e = 0; e < n; ++e) {
-      const double d = search.DistanceTo(static_cast<EdgeId>(e));
-      if (d >= 0.0) entries_.push_back({static_cast<EdgeId>(e), d});
+    for (EdgeId e : search.settled()) {
+      entries_.push_back({e, search.DistanceTo(e)});
     }
+    std::sort(entries_.begin() + static_cast<std::ptrdiff_t>(row),
+              entries_.end(),
+              [](const Entry& a, const Entry& b) { return a.dst < b.dst; });
   }
   offsets_[n] = entries_.size();
 }

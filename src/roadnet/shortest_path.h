@@ -75,6 +75,10 @@ class EdgeDijkstra {
                : -1.0;
   }
 
+  /// The edges the last Run() settled, in settle order (the source first):
+  /// exactly the edges with DistanceTo(e) >= 0.
+  const std::vector<EdgeId>& settled() const { return settled_; }
+
  private:
   void BumpRunEpoch();
 
@@ -87,6 +91,7 @@ class EdgeDijkstra {
   uint32_t target_gen_ = 0;
   size_t num_targets_ = 0;
   std::vector<std::pair<double, EdgeId>> heap_;  // min-heap buffer, reused
+  std::vector<EdgeId> settled_;                  // last Run(), settle order
 };
 
 /// Precomputed bounded all-pairs edge distances — the FMM accelerator
@@ -102,7 +107,8 @@ class EdgeDistanceTable {
  public:
   EdgeDistanceTable() = default;
 
-  /// Builds the table over all source edges (O(E) bounded searches).
+  /// Builds the table over all source edges: O(E) bounded searches, each
+  /// row collected from the edges its search settled and sorted by dst.
   void Build(const RoadNetwork& net, double bound_m);
 
   bool built() const { return !offsets_.empty(); }

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/rng.h"
@@ -144,11 +146,58 @@ TEST(RngTest, CategoricalAllZeroFallsBackToUniform) {
   EXPECT_LT(c0, 700);
 }
 
+/// An Rng whose next Uniform() is exactly m * 2^-53 (m < 2^53), so a test
+/// can place a draw anywhere. xoshiro256**'s output, rotl(s[1] * 5, 7) * 9,
+/// depends on s[1] alone and is invertible mod 2^64 (5 and 9 are odd).
+Rng RngWithNextUniform(uint64_t m) {
+  const auto inverse = [](uint64_t a) {  // Newton's iteration mod 2^64
+    uint64_t x = a;  // a * a == 1 mod 8 for odd a: 3 correct bits
+    for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+    return x;
+  };
+  const uint64_t t = (m << 11) * inverse(9);
+  Rng::State state;
+  state.s[0] = 0x9e3779b97f4a7c15ULL;
+  state.s[1] = ((t >> 7) | (t << 57)) * inverse(5);
+  state.s[2] = 1;
+  state.s[3] = 2;
+  Rng rng;
+  rng.ImportState(state);
+  return rng;
+}
+
+/// `draws` lockstep draws from the sampler and from Rng::Categorical.
+void ExpectReplaysCategorical(const std::vector<double>& w, uint64_t seed,
+                              int draws, const std::string& what) {
+  CategoricalSampler sampler(w);
+  Rng a(seed);
+  Rng b(seed);
+  for (int i = 0; i < draws; ++i) {
+    ASSERT_EQ(sampler.Sample(&a), b.Categorical(w)) << what << " draw " << i;
+  }
+  // Identical RNG consumption: the streams must still be in lockstep.
+  EXPECT_EQ(a.NextU64(), b.NextU64()) << what;
+}
+
+/// One draw at Uniform() == m * 2^-53 from each side.
+void ExpectReplaysCategoricalAt(const CategoricalSampler& sampler,
+                                const std::vector<double>& w, uint64_t m,
+                                const std::string& what) {
+  Rng a = RngWithNextUniform(m);
+  Rng b = RngWithNextUniform(m);
+  ASSERT_EQ(sampler.Sample(&a), b.Categorical(w)) << what << " m " << m;
+  EXPECT_EQ(a.NextU64(), b.NextU64()) << what << " m " << m;
+}
+
 TEST(RngTest, CategoricalSamplerReplaysCategoricalExactly) {
   // The sampler's contract is draw-for-draw bit-identity with
   // Rng::Categorical on a fixed weight vector: same indices AND same RNG
   // consumption, across skewed, uniform, zero-padded, and tiny/huge weight
   // shapes (the skip-gram unigram distribution is the production user).
+  for (uint64_t m : {uint64_t{0}, uint64_t{1} << 52, (uint64_t{1} << 53) - 1}) {
+    EXPECT_EQ(RngWithNextUniform(m).Uniform(),
+              static_cast<double>(m) * 0x1.0p-53);
+  }
   Rng shape_rng(99);
   for (int shape = 0; shape < 6; ++shape) {
     std::vector<double> w;
@@ -162,15 +211,75 @@ TEST(RngTest, CategoricalSamplerReplaysCategoricalExactly) {
       if (shape == 5 && i % 2 == 0) v = -v;       // negatives clamp to zero
       w.push_back(v);
     }
-    CategoricalSampler sampler(w);
-    Rng a(1234 + shape);
-    Rng b(1234 + shape);
-    for (int i = 0; i < 20000; ++i) {
-      ASSERT_EQ(sampler.Sample(&a), b.Categorical(w))
-          << "shape " << shape << " draw " << i;
+    ExpectReplaysCategorical(w, 1234 + shape, 20000,
+                             "shape " + std::to_string(shape));
+  }
+
+  // Production size: skip-gram's unigram table over the bench city's 4,984
+  // segments, (count + 1)^0.75 of skewed token counts, as BuildCorpus makes
+  // it.
+  {
+    std::vector<double> w(4984);
+    for (double& v : w) {
+      const double count =
+          std::floor(3000.0 * std::pow(shape_rng.Uniform(), 4.0));
+      v = std::pow(count + 1.0, 0.75);
     }
-    // Identical RNG consumption: the streams must still be in lockstep.
-    EXPECT_EQ(a.NextU64(), b.NextU64()) << "shape " << shape;
+    ExpectReplaysCategorical(w, 77, 20000, "unigram");
+  }
+
+  // Dominated: one weight carries all but ~5e-7 of the mass, so the
+  // thousands of prefix sums on either side of it crowd into the first and
+  // the last bucket. Ordinary draws almost never land there; placed draws
+  // do.
+  {
+    const size_t n = 5000;
+    std::vector<double> w(n);
+    for (double& v : w) v = 0.5 + shape_rng.Uniform();
+    w[n / 2] = 1e10;
+    ExpectReplaysCategorical(w, 78, 20000, "dominated");
+    double below = 0.0;  // mass before the dominant weight
+    for (size_t i = 0; i < n / 2; ++i) below += w[i];
+    CategoricalSampler sampler(w);
+    const double span = 0x1.0p53;
+    const auto low_end = static_cast<uint64_t>(span * below / sampler.total());
+    const auto high_begin =
+        static_cast<uint64_t>(span * (below + w[n / 2]) / sampler.total());
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_NO_FATAL_FAILURE(ExpectReplaysCategoricalAt(
+          sampler, w, shape_rng.UniformInt(low_end + 1), "dominated low"));
+      ASSERT_NO_FATAL_FAILURE(ExpectReplaysCategoricalAt(
+          sampler, w,
+          high_begin + shape_rng.UniformInt((uint64_t{1} << 53) - high_begin),
+          "dominated high"));
+    }
+  }
+
+  // Bucket edges: 4,096 integer weights summing to 2^14, so every prefix
+  // sum is exact, the sampler's total / n wide buckets have edges at the
+  // multiples of 4, and Uniform() == j * 2^-12 puts a draw exactly on edge
+  // j. Each edge is drawn at, and one step (2^-39) below and above; where an
+  // edge meets a prefix sum the draw also takes the exact-scan fallback.
+  {
+    const size_t n = 4096;
+    std::vector<double> w(n);
+    for (size_t i = 0; i < n; i += 2) {
+      w[i] = static_cast<double>(1 + shape_rng.UniformInt(7));
+      w[i + 1] = 8.0 - w[i];
+    }
+    CategoricalSampler sampler(w);
+    ASSERT_EQ(sampler.total(), 16384.0);
+    for (uint64_t j = 0; j < n; ++j) {
+      const uint64_t m = j << 41;
+      if (j > 0) {
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectReplaysCategoricalAt(sampler, w, m - 1, "edge below"));
+      }
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectReplaysCategoricalAt(sampler, w, m, "edge"));
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectReplaysCategoricalAt(sampler, w, m + 1, "edge above"));
+    }
   }
 }
 

@@ -4,23 +4,28 @@
 // diffable — any change to what the trained detector reports shows up as a
 // golden diff instead of silently shifting quality metrics.
 //
-// The golden file pins the *discrete* output (per-trajectory anomalous
-// runs), not floats: argmax decisions of a trained model survive any
-// refactor that keeps the batched kernels bit-identical to the streaming
-// step, while raw probabilities would churn on any reordering.
+// golden_detect_runs.txt pins the *discrete* output (per-trajectory
+// anomalous runs): argmax decisions of a trained model survive any refactor
+// that keeps the batched kernels bit-identical to the streaming step.
+// golden_model_fingerprints.txt pins the trained weights themselves — the
+// io::ModelFingerprint after Fit and after one FineTune — so a training
+// kernel that drifts the last bit of one float fails here too, even when no
+// decision flips.
 //
 // Regenerate after an intentional behaviour change (see tests/README.md):
 //   RL4OASD_UPDATE_GOLDEN=1 ./build/tests/golden_regression_test
-// and commit the tests/data/golden_detect_runs.txt diff.
+// and commit the tests/data/ diff.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/rl4oasd.h"
+#include "io/model_io.h"
 #include "serve/fleet.h"
 #include "test_util.h"
 #include "traj/types.h"
@@ -30,10 +35,12 @@ namespace {
 
 constexpr const char* kGoldenPath =
     RL4OASD_TEST_DATA_DIR "/golden_detect_runs.txt";
+constexpr const char* kFingerprintPath =
+    RL4OASD_TEST_DATA_DIR "/golden_model_fingerprints.txt";
 
-/// The fixed-seed tiny pipeline whose output the golden file pins. Any
-/// change here invalidates the golden file — bump deliberately, regenerate,
-/// and commit both together.
+/// The fixed-seed tiny pipeline whose output the golden files pin. Any
+/// change here invalidates the golden files — bump deliberately, regenerate,
+/// and commit them together.
 core::Rl4OasdConfig GoldenConfig() {
   core::Rl4OasdConfig cfg;
   cfg.preprocess.alpha = 0.1;
@@ -66,11 +73,73 @@ std::string RenderRuns(int64_t id,
   return os.str();
 }
 
-TEST(GoldenRegressionTest, DetectOutputMatchesGoldenFile) {
-  const auto net = testing::SmallGrid();
-  const auto dataset = testing::SmallDataset(net, 6, 0.12);
-  core::Rl4Oasd model(&net, GoldenConfig());
-  model.Fit(dataset);
+/// Compares `rendered` with the golden file at `path` line by line, so a
+/// failure names the first diverging line instead of dumping both files.
+/// With RL4OASD_UPDATE_GOLDEN set it rewrites the file instead and skips.
+void ExpectMatchesGoldenFile(const char* path, const std::string& rendered) {
+  if (std::getenv("RL4OASD_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << rendered;
+    GTEST_SKIP() << "golden file regenerated at " << path
+                 << " — review and commit the diff";
+  }
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good())
+      << "missing golden file " << path
+      << " — run RL4OASD_UPDATE_GOLDEN=1 ./build/tests/golden_regression_test";
+  std::stringstream golden;
+  golden << in.rdbuf();
+
+  std::istringstream got(rendered);
+  std::istringstream want(golden.str());
+  std::string got_line;
+  std::string want_line;
+  size_t line_no = 0;
+  while (std::getline(want, want_line)) {
+    ++line_no;
+    ASSERT_TRUE(std::getline(got, got_line))
+        << "output ends early at golden line " << line_no << ": "
+        << want_line;
+    EXPECT_EQ(got_line, want_line) << "first divergence at line " << line_no;
+    if (got_line != want_line) break;  // one precise diff beats hundreds
+  }
+  if (got_line == want_line) {
+    EXPECT_FALSE(std::getline(got, got_line))
+        << "output has extra lines past the golden file: " << got_line;
+  }
+}
+
+/// The golden pipeline's network, data and model, trained once per suite.
+class GoldenRegressionTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    net_ = new roadnet::RoadNetwork(testing::SmallGrid());
+    dataset_ = new traj::Dataset(testing::SmallDataset(*net_, 6, 0.12));
+    model_ = new core::Rl4Oasd(net_, GoldenConfig());
+    model_->Fit(*dataset_);
+  }
+  static void TearDownTestSuite() {
+    delete model_;
+    delete dataset_;
+    delete net_;
+    model_ = nullptr;
+    dataset_ = nullptr;
+    net_ = nullptr;
+  }
+
+  static roadnet::RoadNetwork* net_;
+  static traj::Dataset* dataset_;
+  static core::Rl4Oasd* model_;
+};
+
+roadnet::RoadNetwork* GoldenRegressionTest::net_ = nullptr;
+traj::Dataset* GoldenRegressionTest::dataset_ = nullptr;
+core::Rl4Oasd* GoldenRegressionTest::model_ = nullptr;
+
+TEST_F(GoldenRegressionTest, DetectOutputMatchesGoldenFile) {
+  const core::Rl4Oasd& model = *model_;
 
   // Detect the whole dataset via the scalar streaming path, and in
   // parallel replay every trip through the micro-batched fleet ingest: the
@@ -81,7 +150,7 @@ TEST(GoldenRegressionTest, DetectOutputMatchesGoldenFile) {
   size_t batched_mismatches = 0;
   std::vector<serve::FleetPoint> points;
   std::vector<const traj::LabeledTrajectory*> wave;
-  const auto& trajs = dataset.trajs();
+  const auto& trajs = dataset_->trajs();
   for (size_t begin = 0; begin < trajs.size(); begin += 32) {
     const size_t end = std::min(trajs.size(), begin + 32);
     wave.clear();
@@ -121,41 +190,25 @@ TEST(GoldenRegressionTest, DetectOutputMatchesGoldenFile) {
 
   std::ostringstream rendered;
   for (const auto& line : lines) rendered << line << "\n";
+  ExpectMatchesGoldenFile(kGoldenPath, rendered.str());
+}
 
-  if (std::getenv("RL4OASD_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(kGoldenPath);
-    ASSERT_TRUE(out.good()) << "cannot write " << kGoldenPath;
-    out << rendered.str();
-    GTEST_SKIP() << "golden file regenerated at " << kGoldenPath
-                 << " — review and commit the diff";
-  }
+TEST_F(GoldenRegressionTest, TrainedModelFingerprintsMatchGoldenFile) {
+  // The fingerprint covers every weight bit, so this fails on any change
+  // to a training kernel's arithmetic. FineTune runs on a clone: the
+  // suite's model stays as Fit left it.
+  auto tuned = io::CloneModel(net_, *model_);
+  ASSERT_TRUE(tuned.ok()) << tuned.status().ToString();
+  const auto fresh = testing::SmallDataset(*net_, 3, 0.1, 123);
+  (*tuned)->FineTune(fresh, 60);
 
-  std::ifstream in(kGoldenPath);
-  ASSERT_TRUE(in.good())
-      << "missing golden file " << kGoldenPath
-      << " — run RL4OASD_UPDATE_GOLDEN=1 ./build/tests/golden_regression_test";
-  std::stringstream golden;
-  golden << in.rdbuf();
-
-  // Line-by-line comparison so a failure names the first diverging
-  // trajectory instead of dumping both files.
-  std::istringstream got(rendered.str());
-  std::istringstream want(golden.str());
-  std::string got_line;
-  std::string want_line;
-  size_t line_no = 0;
-  while (std::getline(want, want_line)) {
-    ++line_no;
-    ASSERT_TRUE(std::getline(got, got_line))
-        << "output ends early at golden line " << line_no << ": "
-        << want_line;
-    EXPECT_EQ(got_line, want_line) << "first divergence at line " << line_no;
-    if (got_line != want_line) break;  // one precise diff beats hundreds
-  }
-  if (got_line == want_line) {
-    EXPECT_FALSE(std::getline(got, got_line))
-        << "output has extra lines past the golden file: " << got_line;
-  }
+  std::ostringstream rendered;
+  rendered << std::hex << std::setfill('0');
+  rendered << "fit " << std::setw(16) << io::ModelFingerprint(*model_)
+           << "\n";
+  rendered << "finetune " << std::setw(16) << io::ModelFingerprint(**tuned)
+           << "\n";
+  ExpectMatchesGoldenFile(kFingerprintPath, rendered.str());
 }
 
 }  // namespace

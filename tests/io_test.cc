@@ -606,6 +606,47 @@ TEST_F(ModelBundleTest, ConfigValuesOutsideTheirFieldsAreRejected) {
       ReadOneConfigKey("a.key.from.the.future", std::nan(""), &cfg).ok());
 }
 
+TEST_F(ModelBundleTest, EmbeddingConfigBelowTheTrainersMinimumsIsRejected) {
+  // Values the skip-gram trainer cannot run with: a window of 0 divided by
+  // zero drawing the window (SIGFPE) and a negative one hung Fit. They fit
+  // their int fields, so only the per-key minimums stop them.
+  const struct {
+    const char* key;
+    double value;
+  } cases[] = {
+      {"embedding.window", 0.0},
+      {"embedding.window", -2.0},
+      {"embedding.negatives", -1.0},
+      {"embedding.walk_length", 0.0},
+      {"embedding.dim", 0.0},
+      {"embedding.epochs", -1.0},
+      {"embedding.random_walks_per_edge", -1.0},
+  };
+  for (const auto& c : cases) {
+    core::Rl4OasdConfig cfg;
+    const Status st = ReadOneConfigKey(c.key, c.value, &cfg);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << c.key << " = " << c.value << ": " << st.ToString();
+    EXPECT_NE(st.ToString().find(c.key), std::string::npos) << st.ToString();
+  }
+  // Each minimum itself still loads, and so does every value a default
+  // config writes.
+  core::Rl4OasdConfig cfg;
+  ASSERT_TRUE(ReadOneConfigKey("embedding.window", 1.0, &cfg).ok());
+  EXPECT_EQ(cfg.embedding.window, 1);
+  ASSERT_TRUE(ReadOneConfigKey("embedding.negatives", 0.0, &cfg).ok());
+  EXPECT_EQ(cfg.embedding.negatives, 0);
+  ASSERT_TRUE(ReadOneConfigKey("embedding.walk_length", 1.0, &cfg).ok());
+  ASSERT_TRUE(ReadOneConfigKey("embedding.dim", 1.0, &cfg).ok());
+  ASSERT_TRUE(ReadOneConfigKey("embedding.epochs", 0.0, &cfg).ok());
+  ASSERT_TRUE(
+      ReadOneConfigKey("embedding.random_walks_per_edge", 0.0, &cfg).ok());
+  BinaryWriter w;
+  io::WriteConfigKv(core::Rl4OasdConfig{}, &w);
+  BinaryReader r(w.buffer());
+  EXPECT_TRUE(io::ReadConfigKv(&r, &cfg).ok());
+}
+
 TEST_F(ModelBundleTest, BundleWithOutOfRangeConfigValueLoadsToError) {
   // Whole-bundle level: a CRC-valid bundle with one patched config value
   // loads to an InvalidArgument, never an abort.

@@ -173,20 +173,30 @@ TEST(EdgeDistanceTableTest, BitIdenticalToLiveSearch) {
   ASSERT_TRUE(table.built());
   EXPECT_DOUBLE_EQ(table.bound_m(), 900.0);
   EdgeDijkstra search(&net);
-  for (EdgeId src = 0; src < static_cast<EdgeId>(net.NumEdges()); src += 13) {
+  size_t settled_total = 0;
+  for (EdgeId src = 0; src < static_cast<EdgeId>(net.NumEdges()); ++src) {
     search.Run(src, 900.0);
+    size_t reached = 0;
     for (EdgeId dst = 0; dst < static_cast<EdgeId>(net.NumEdges()); ++dst) {
       const double live = search.DistanceTo(dst);
       const double tab = table.DistanceTo(src, dst);
       if (live >= 0.0) {
         // Exactly the live search's settled distance — no tolerance.
         EXPECT_EQ(tab, live) << src << "->" << dst;
+        ++reached;
       } else {
         EXPECT_LT(tab, 0.0) << src << "->" << dst;
       }
     }
     EXPECT_EQ(table.DistanceTo(src, src), 0.0);
+    // The settled list is exactly the reached set, source first.
+    ASSERT_EQ(search.settled().size(), reached) << src;
+    EXPECT_EQ(search.settled().front(), src);
+    settled_total += search.settled().size();
   }
+  // One entry per settled edge of every source's search: no duplicates,
+  // nothing beyond the bound.
+  EXPECT_EQ(table.NumEntries(), settled_total);
   EXPECT_GT(table.NumEntries(), net.NumEdges());  // beyond the diagonal
 }
 
