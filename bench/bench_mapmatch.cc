@@ -73,7 +73,9 @@ StageResult RunWorkload(const mapmatch::HmmMapMatcher& matcher,
   r.trajs = w.raws.size();
   r.points = w.points;
 
-  // Reference kernel (the seed matcher's cost model).
+  // Reference kernel: the seed matcher's query shape (full cell square,
+  // hash-set dedup, every touched edge measured) over the shared cell grid,
+  // and its fresh hash-map Dijkstra per (layer, candidate).
   std::vector<Result<traj::MapMatchedTrajectory>> ref;
   ref.reserve(w.raws.size());
   Stopwatch ref_sw;

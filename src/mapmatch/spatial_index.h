@@ -7,9 +7,10 @@
 // ordering (see docs/ARCHITECTURE.md, "Map matching").
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
+#include "roadnet/geometry.h"
 #include "roadnet/road_network.h"
 
 namespace rl4oasd::mapmatch {
@@ -20,7 +21,10 @@ struct EdgeCandidate {
   double distance_m = 0.0;  // point-to-segment distance
 };
 
-/// Buckets edges by the grid cells their bounding boxes overlap.
+/// Buckets edges by the grid cells their bounding boxes overlap. The cells
+/// form one dense CSR grid over the rectangle of occupied cells; each entry
+/// carries its edge's bounding box, so a query screens a cell list in one
+/// sequential read.
 class SpatialIndex {
  public:
   /// Reusable per-thread query buffers. QueryInto with a caller-owned
@@ -36,12 +40,16 @@ class SpatialIndex {
     std::vector<roadnet::EdgeId> ids_;
   };
 
-  /// Builds the index with the given cell size (meters).
+  /// Builds the index with the given cell size (meters). A network spread
+  /// so wide that its cell rectangle would dwarf its edge count gets
+  /// coarser cells; query results do not depend on the cell size.
   explicit SpatialIndex(const roadnet::RoadNetwork* net,
                         double cell_size_m = 250.0);
 
   /// Returns up to `max_candidates` edges within `radius_m` of `p`, ordered
-  /// by (distance, edge id). Convenience wrapper over QueryInto.
+  /// by (distance, edge id). Convenience wrapper over QueryInto. A point
+  /// with a non-finite coordinate, or a NaN or negative radius, has no
+  /// candidates.
   std::vector<EdgeCandidate> Query(const roadnet::LatLon& p, double radius_m,
                                    size_t max_candidates = 8) const;
 
@@ -51,39 +59,64 @@ class SpatialIndex {
                  size_t max_candidates, QueryScratch* scratch,
                  std::vector<EdgeCandidate>* out) const;
 
-  /// The seed-era query, preserved as the reference cost model for
-  /// bench_mapmatch: full (2r+1)^2 cell square, hash-set dedup, exact
-  /// distance for every touched edge, fresh allocations per call. Returns
-  /// the same candidates as Query — the only departure from the seed code
-  /// is the final (distance, edge id) sort, which pins the tie order both
-  /// kernels share (the seed's distance-only unstable sort left edge order
-  /// at equal distance unspecified).
+  /// The seed-era query shape, kept as the reference kernel of the
+  /// equivalence suite and bench_mapmatch: full (2r+1)^2 cell square over
+  /// the same grid, hash-set dedup, the exact distance of every touched
+  /// edge, fresh allocations per call. Returns the same candidates as Query
+  /// — the only departure from the seed code is the final (distance, edge
+  /// id) sort, which pins the tie order both kernels share (the seed's
+  /// distance-only unstable sort left edge order at equal distance
+  /// unspecified).
   std::vector<EdgeCandidate> QueryReference(const roadnet::LatLon& p,
                                             double radius_m,
                                             size_t max_candidates = 8) const;
 
  private:
-  int64_t CellKey(int cx, int cy) const {
-    return (static_cast<int64_t>(cx) << 32) ^ static_cast<uint32_t>(cy);
-  }
-  int CellX(double lon) const;
-  int CellY(double lat) const;
-
   struct EdgeBox {
     double min_lat, max_lat, min_lon, max_lon;
   };
+  /// One edge in one cell's list, with the edge's bounding box for the
+  /// query's prescreen.
+  struct CellEntry {
+    EdgeBox box;
+    roadnet::EdgeId edge;
+  };
+
+  /// Absolute cell range [x_lo, x_hi] x [y_lo, y_hi] covered by `box` at
+  /// the current cell size; false when it is not finite (an edge with a
+  /// non-finite coordinate is at NaN distance from every point, so it is
+  /// never a candidate and is not indexed).
+  bool CellRange(const EdgeBox& box, double* x_lo, double* x_hi, double* y_lo,
+                 double* y_hi) const;
+
+  /// Fixes the cell size and sizes the grid to the occupied cell rectangle
+  /// of the edges' bounding boxes.
+  void SizeGrid(double cell_size_m, const std::vector<EdgeBox>& boxes);
+
+  /// The entries of cells [col_lo, col_hi] (absolute cell coordinates,
+  /// integral doubles) in cell row `row` (inside the grid), clipped to the
+  /// grid: one contiguous span of the CSR array, empty when the column range
+  /// misses the grid.
+  void RowSpan(int row, double col_lo, double col_hi, const CellEntry** begin,
+               const CellEntry** end) const;
 
   const roadnet::RoadNetwork* net_;
-  double cell_deg_lat_;
-  double cell_deg_lon_;
-  double meters_per_deg_lon_;
-  // Values are ascending edge-id lists (edges are inserted in id order at
-  // build time), so concatenation + sort + unique dedups cheaply.
-  std::unordered_map<int64_t, std::vector<roadnet::EdgeId>> cells_;
-  // Per-edge bounding boxes for the query prescreen: box distance lower-
-  // bounds segment distance, so edges whose box is (conservatively) outside
-  // the radius skip the exact point-to-segment evaluation.
-  std::vector<EdgeBox> boxes_;
+  double cell_deg_lat_ = 0.0;
+  double cell_deg_lon_ = 0.0;
+  double meters_per_deg_lon_ = 0.0;
+  // The grid rectangle, in absolute cell coordinates (floor(lon /
+  // cell_deg_lon_), floor(lat / cell_deg_lat_)); cells outside it are empty.
+  int x0_ = 0;
+  int y0_ = 0;
+  int nx_ = 0;
+  int ny_ = 0;
+  // CSR over the nx_ * ny_ cells, row-major (cell (x, y) is slot
+  // (y - y0_) * nx_ + (x - x0_)); each cell's entries are in ascending edge
+  // id (edges are inserted in id order), and a row's cells are adjacent.
+  std::vector<uint32_t> cell_start_;
+  std::vector<CellEntry> entries_;
+  // Per-edge projection frames for the exact distance of screened edges.
+  std::vector<roadnet::SegmentFrame> frames_;
 };
 
 }  // namespace rl4oasd::mapmatch

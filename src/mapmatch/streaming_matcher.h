@@ -37,8 +37,8 @@ class StreamingMatcher {
   }
 
   /// Feeds the next GPS fix. Returns true if the fix produced a lattice
-  /// layer (false: no road within the candidate radius — the fix is dropped,
-  /// exactly as batch matching drops it).
+  /// layer (false: no road within the candidate radius, or a non-finite
+  /// coordinate — the fix is dropped, exactly as batch matching drops it).
   bool MatchPoint(const traj::RawPoint& pt);
 
   /// Decodes the lattice built so far; bit-identical to batch Match() over

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "common/logging.h"
@@ -19,7 +20,29 @@ namespace rl4oasd::nn {
 /// A dense vector of floats.
 using Vec = std::vector<float>;
 
-/// Row-major dense matrix.
+/// Allocator that starts every block on a 64-byte cache line. The GEMM's
+/// vector loads then see the same alignment phase in every run: a plain
+/// std::vector<float> is only 16-byte aligned, its 64-byte phase moves with
+/// heap history, and the B = 1 gate GEMMs run ~10% slower at some phases.
+template <typename T>
+struct CacheAlignedAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlignment{64};
+
+  CacheAlignedAllocator() = default;
+  template <typename U>
+  CacheAlignedAllocator(const CacheAlignedAllocator<U>&) noexcept {}
+
+  T* allocate(size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlignment));
+  }
+  void deallocate(T* p, size_t n) noexcept {
+    ::operator delete(p, n * sizeof(T), kAlignment);
+  }
+  bool operator==(const CacheAlignedAllocator&) const { return true; }
+};
+
+/// Row-major dense matrix; its storage starts on a cache line.
 class Matrix {
  public:
   Matrix() = default;
@@ -67,7 +90,7 @@ class Matrix {
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;
-  std::vector<float> data_;
+  std::vector<float, CacheAlignedAllocator<float>> data_;
 };
 
 /// y = M x  (M: m x n, x: n, y: m). `y` is overwritten.

@@ -27,32 +27,46 @@ double ApproxDistanceMeters(const LatLon& a, const LatLon& b) {
   return kEarthRadiusMeters * std::sqrt(dx * dx + dy * dy);
 }
 
-double ProjectOntoSegment(const LatLon& p, const LatLon& a, const LatLon& b,
-                          LatLon* closest) {
-  // Work in an equirectangular local frame anchored at `a`.
+SegmentFrame MakeSegmentFrame(const LatLon& a, const LatLon& b) {
+  // An equirectangular local frame anchored at `a`.
+  SegmentFrame f;
+  f.a = a;
+  f.b = b;
   const double mean_lat = 0.5 * (a.lat + b.lat) * kDegToRad;
-  const double cos_lat = std::cos(mean_lat);
-  const double ax = 0.0, ay = 0.0;
-  const double bx = (b.lon - a.lon) * cos_lat;
-  const double by = (b.lat - a.lat);
-  const double px = (p.lon - a.lon) * cos_lat;
-  const double py = (p.lat - a.lat);
-  const double vx = bx - ax, vy = by - ay;
-  const double len2 = vx * vx + vy * vy;
+  f.cos_lat = std::cos(mean_lat);
+  f.vx = (b.lon - a.lon) * f.cos_lat;
+  f.vy = (b.lat - a.lat);
+  f.len2 = f.vx * f.vx + f.vy * f.vy;
+  return f;
+}
+
+double ProjectOntoSegment(const LatLon& p, const SegmentFrame& f,
+                          LatLon* closest) {
+  const double px = (p.lon - f.a.lon) * f.cos_lat;
+  const double py = (p.lat - f.a.lat);
   double t = 0.0;
-  if (len2 > 0.0) {
-    t = ((px - ax) * vx + (py - ay) * vy) / len2;
+  if (f.len2 > 0.0) {
+    t = (px * f.vx + py * f.vy) / f.len2;
     t = std::clamp(t, 0.0, 1.0);
   }
-  if (closest != nullptr) *closest = Lerp(a, b, t);
+  if (closest != nullptr) *closest = Lerp(f.a, f.b, t);
   return t;
+}
+
+double ProjectOntoSegment(const LatLon& p, const LatLon& a, const LatLon& b,
+                          LatLon* closest) {
+  return ProjectOntoSegment(p, MakeSegmentFrame(a, b), closest);
+}
+
+double PointToSegmentMeters(const LatLon& p, const SegmentFrame& f) {
+  LatLon closest;
+  ProjectOntoSegment(p, f, &closest);
+  return ApproxDistanceMeters(p, closest);
 }
 
 double PointToSegmentMeters(const LatLon& p, const LatLon& a,
                             const LatLon& b) {
-  LatLon closest;
-  ProjectOntoSegment(p, a, b, &closest);
-  return ApproxDistanceMeters(p, closest);
+  return PointToSegmentMeters(p, MakeSegmentFrame(a, b));
 }
 
 }  // namespace rl4oasd::roadnet

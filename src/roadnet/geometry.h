@@ -18,10 +18,34 @@ double HaversineMeters(const LatLon& a, const LatLon& b);
 /// fraction of a percent at city scale, used on hot paths (map matching).
 double ApproxDistanceMeters(const LatLon& a, const LatLon& b);
 
-/// Projects point p onto segment (a, b). Returns the clamped interpolation
-/// parameter t in [0, 1]; *closest receives the projected coordinate.
+/// The point-independent half of a projection onto segment (a, b): the
+/// equirectangular frame anchored at `a` (cos of the mean latitude, the
+/// local segment vector and its squared length). Hot paths build it once
+/// per segment and project many points through it.
+struct SegmentFrame {
+  LatLon a;
+  LatLon b;
+  double cos_lat = 1.0;
+  double vx = 0.0;
+  double vy = 0.0;
+  double len2 = 0.0;
+};
+
+SegmentFrame MakeSegmentFrame(const LatLon& a, const LatLon& b);
+
+/// Projects point p onto the frame's segment. Returns the clamped
+/// interpolation parameter t in [0, 1]; *closest receives the projected
+/// coordinate.
+double ProjectOntoSegment(const LatLon& p, const SegmentFrame& f,
+                          LatLon* closest);
+
+/// Same, building the frame of (a, b) first; bit-identical to projecting
+/// through a stored MakeSegmentFrame(a, b).
 double ProjectOntoSegment(const LatLon& p, const LatLon& a, const LatLon& b,
                           LatLon* closest);
+
+/// Distance in meters from p to the frame's segment.
+double PointToSegmentMeters(const LatLon& p, const SegmentFrame& f);
 
 /// Distance in meters from p to segment (a, b).
 double PointToSegmentMeters(const LatLon& p, const LatLon& a, const LatLon& b);

@@ -193,24 +193,25 @@ void EdgeDistanceTable::Build(const RoadNetwork& net, double bound_m) {
   bound_m_ = bound_m;
   const size_t n = net.NumEdges();
   offsets_.assign(n + 1, 0);
-  entries_.clear();
+  dst_.clear();
+  dist_.clear();
   // Reuses EdgeDijkstra rather than a private search so a table entry is the
   // product of the exact same relaxation sequence as a live query — the
   // bit-equality contract between the two lookup paths is structural, not a
   // numerical coincidence.
   EdgeDijkstra search(&net);
+  std::vector<EdgeId> row;
   for (EdgeId src = 0; src < static_cast<EdgeId>(n); ++src) {
-    const size_t row = entries_.size();
-    offsets_[static_cast<size_t>(src)] = row;
+    offsets_[static_cast<size_t>(src)] = dst_.size();
     search.Run(src, bound_m);
-    for (EdgeId e : search.settled()) {
-      entries_.push_back({e, search.DistanceTo(e)});
+    row = search.settled();
+    std::sort(row.begin(), row.end());
+    for (EdgeId e : row) {
+      dst_.push_back(e);
+      dist_.push_back(search.DistanceTo(e));
     }
-    std::sort(entries_.begin() + static_cast<std::ptrdiff_t>(row),
-              entries_.end(),
-              [](const Entry& a, const Entry& b) { return a.dst < b.dst; });
   }
-  offsets_[n] = entries_.size();
+  offsets_[n] = dst_.size();
 }
 
 std::vector<std::vector<EdgeId>> AlternativeRoutes(const RoadNetwork& net,

@@ -113,33 +113,31 @@ class EdgeDistanceTable {
 
   bool built() const { return !offsets_.empty(); }
   double bound_m() const { return bound_m_; }
-  size_t NumEntries() const { return entries_.size(); }
+  size_t NumEntries() const { return dst_.size(); }
 
   /// Distance from `src` to `dst` (0 for src == dst), or a negative value
   /// if it exceeds bound_m. Only valid after Build.
   double DistanceTo(EdgeId src, EdgeId dst) const {
-    const Entry* lo = entries_.data() + offsets_[static_cast<size_t>(src)];
-    const Entry* hi = entries_.data() + offsets_[static_cast<size_t>(src) + 1];
-    while (lo < hi) {
-      const Entry* mid = lo + (hi - lo) / 2;
-      if (mid->dst < dst) {
-        lo = mid + 1;
-      } else if (mid->dst > dst) {
-        hi = mid;
-      } else {
-        return mid->dist;
-      }
+    const size_t row = offsets_[static_cast<size_t>(src)];
+    size_t n = offsets_[static_cast<size_t>(src) + 1] - row;
+    // Branch-free search for the last id <= dst (every row holds at least
+    // its source): the row's ids are distinct and ascending, so dst is
+    // present iff that id equals it.
+    const EdgeId* base = dst_.data() + row;
+    while (n > 1) {
+      const size_t half = n / 2;
+      base = base[half] <= dst ? base + half : base;
+      n -= half;
     }
-    return -1.0;
+    return *base == dst ? dist_[static_cast<size_t>(base - dst_.data())]
+                        : -1.0;
   }
 
  private:
-  struct Entry {
-    EdgeId dst;
-    double dist;
-  };
-  std::vector<size_t> offsets_;  // per-source row bounds into entries_
-  std::vector<Entry> entries_;   // rows sorted by dst (built in id order)
+  // Struct-of-arrays rows, so the search reads only the 4-byte ids.
+  std::vector<size_t> offsets_;  // per-source row bounds into dst_ / dist_
+  std::vector<EdgeId> dst_;      // each row ascending
+  std::vector<double> dist_;     // parallel to dst_
   double bound_m_ = 0.0;
 };
 

@@ -10,13 +10,15 @@
 // golden_model_fingerprints.txt pins the trained weights themselves — the
 // io::ModelFingerprint after Fit and after one FineTune — so a training
 // kernel that drifts the last bit of one float fails here too, even when no
-// decision flips.
+// decision flips. golden_matched_edges.txt pins the map matcher: the
+// fixture's trips sampled as noisy, gappy GPS and matched back to edges.
 //
 // Regenerate after an intentional behaviour change (see tests/README.md):
 //   RL4OASD_UPDATE_GOLDEN=1 ./build/tests/golden_regression_test
 // and commit the tests/data/ diff.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -26,8 +28,10 @@
 
 #include "core/rl4oasd.h"
 #include "io/model_io.h"
+#include "mapmatch/hmm_matcher.h"
 #include "serve/fleet.h"
 #include "test_util.h"
+#include "traj/gps_sampler.h"
 #include "traj/types.h"
 
 namespace rl4oasd {
@@ -37,6 +41,8 @@ constexpr const char* kGoldenPath =
     RL4OASD_TEST_DATA_DIR "/golden_detect_runs.txt";
 constexpr const char* kFingerprintPath =
     RL4OASD_TEST_DATA_DIR "/golden_model_fingerprints.txt";
+constexpr const char* kMatchedEdgesPath =
+    RL4OASD_TEST_DATA_DIR "/golden_matched_edges.txt";
 
 /// The fixed-seed tiny pipeline whose output the golden files pin. Any
 /// change here invalidates the golden files — bump deliberately, regenerate,
@@ -209,6 +215,41 @@ TEST_F(GoldenRegressionTest, TrainedModelFingerprintsMatchGoldenFile) {
   rendered << "finetune " << std::setw(16) << io::ModelFingerprint(**tuned)
            << "\n";
   ExpectMatchesGoldenFile(kFingerprintPath, rendered.str());
+}
+
+TEST_F(GoldenRegressionTest, MatchedEdgesMatchGoldenFile) {
+  // 15 m noise and 15% dropout put dropped fixes, shortest-path bridges and
+  // the live-Dijkstra fallback (detour bounds wider than the transition
+  // table) on the pinned path, not only the table lookups of dense fixes.
+  // Segment restarts never occur on this fixture; the gap-policy tests in
+  // mapmatch_test pin them.
+  traj::GpsSamplerConfig gps;
+  gps.noise_sigma_m = 15.0;
+  gps.dropout_prob = 0.15;
+  traj::GpsSampler sampler(net_, gps, 2024);
+  const mapmatch::HmmMapMatcher matcher(net_);
+  mapmatch::HmmMapMatcher::Scratch scratch;
+
+  // One line per trip: "<id> <start_time> <edge> <edge> ...", or
+  // "<id> error <status code>" when nothing matched.
+  std::ostringstream rendered;
+  char start[32];
+  for (const auto& lt : dataset_->trajs()) {
+    const auto raw = sampler.Sample(lt.traj);
+    if (raw.points.empty()) continue;
+    const auto matched = matcher.Match(raw, &scratch);
+    rendered << raw.id;
+    if (!matched.ok()) {
+      rendered << " error " << static_cast<int>(matched.status().code())
+               << "\n";
+      continue;
+    }
+    std::snprintf(start, sizeof(start), "%.17g", matched->start_time);
+    rendered << " " << start;
+    for (traj::EdgeId e : matched->edges) rendered << " " << e;
+    rendered << "\n";
+  }
+  ExpectMatchesGoldenFile(kMatchedEdgesPath, rendered.str());
 }
 
 }  // namespace

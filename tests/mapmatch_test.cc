@@ -2,8 +2,15 @@
 // HMM matching of noisy synthetic GPS back onto the true route.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
+#include "common/rng.h"
 #include "mapmatch/hmm_matcher.h"
 #include "mapmatch/spatial_index.h"
+#include "mapmatch/streaming_matcher.h"
 #include "test_util.h"
 #include "traj/gps_sampler.h"
 
@@ -143,16 +150,14 @@ TEST(HmmMatcherTest, StartTimeFromFirstMatchedFix) {
   EXPECT_DOUBLE_EQ(matched->start_time, 100.0);
 }
 
-// Exactness: the grid index must return the same candidate set as a brute
-// force scan over every edge, in the pinned (distance, edge id) order.
-TEST(SpatialIndexTest, QueryMatchesBruteForceExactly) {
-  const auto net = SmallGrid();
-  SpatialIndex index(&net);
-  const std::vector<double> radii = {15.0, 60.0, 140.0, 400.0};
-  for (roadnet::EdgeId probe = 0;
-       probe < static_cast<roadnet::EdgeId>(net.NumEdges()); probe += 37) {
-    const auto p = net.EdgeMidpoint(probe);
-    for (double radius : radii) {
+// Checks Query (uncapped and capped) and QueryReference of an index with
+// `cell_m` cells against a brute force scan over every edge, in the pinned
+// (distance, edge id) order, for every probe at several radii.
+void ExpectMatchesBruteForce(const roadnet::RoadNetwork& net, double cell_m,
+                             const std::vector<roadnet::LatLon>& probes) {
+  const SpatialIndex index(&net, cell_m);
+  for (const auto& p : probes) {
+    for (const double radius : {15.0, 60.0, 140.0, 400.0}) {
       std::vector<EdgeCandidate> expected;
       for (roadnet::EdgeId e = 0;
            e < static_cast<roadnet::EdgeId>(net.NumEdges()); ++e) {
@@ -167,25 +172,189 @@ TEST(SpatialIndexTest, QueryMatchesBruteForceExactly) {
                              ? a.distance_m < b.distance_m
                              : a.edge < b.edge;
                 });
-      const auto got = index.Query(p, radius, net.NumEdges());
-      ASSERT_EQ(got.size(), expected.size()) << "radius " << radius;
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].edge, expected[i].edge);
-        EXPECT_EQ(got[i].distance_m, expected[i].distance_m);
-      }
+      const auto where = ::testing::Message()
+                         << "cell " << cell_m << " m, radius " << radius
+                         << ", probe (" << p.lat << ", " << p.lon << ")";
       // The seed-era reference query returns the identical sequence.
+      const auto fast = index.Query(p, radius, net.NumEdges());
       const auto ref = index.QueryReference(p, radius, net.NumEdges());
-      ASSERT_EQ(ref.size(), expected.size()) << "radius " << radius;
-      for (size_t i = 0; i < ref.size(); ++i) {
-        EXPECT_EQ(ref[i].edge, expected[i].edge);
-        EXPECT_EQ(ref[i].distance_m, expected[i].distance_m);
+      for (const auto* got : {&fast, &ref}) {
+        ASSERT_EQ(got->size(), expected.size()) << where;
+        for (size_t i = 0; i < got->size(); ++i) {
+          EXPECT_EQ((*got)[i].edge, expected[i].edge) << where;
+          EXPECT_EQ((*got)[i].distance_m, expected[i].distance_m) << where;
+        }
       }
       // The cap keeps the prefix of the same order.
       const auto capped = index.Query(p, radius, 3);
+      ASSERT_EQ(capped.size(), std::min<size_t>(3, expected.size())) << where;
       for (size_t i = 0; i < capped.size(); ++i) {
-        EXPECT_EQ(capped[i].edge, expected[i].edge);
+        EXPECT_EQ(capped[i].edge, expected[i].edge) << where;
       }
     }
+  }
+}
+
+// Exactness: the grid index must return the same candidate set as a brute
+// force scan. The probes sit at edge midpoints, on cell borders (jittered by
+// up to a micro-degree either side) and outside the network's rectangle,
+// and the cell sizes run from the candidate radius to well above it, so the
+// ring's clipping to the grid and the survivors' dedup both meet brute
+// force.
+TEST(SpatialIndexTest, QueryMatchesBruteForceExactly) {
+  const auto net = SmallGrid();
+  double min_lat = 90.0, max_lat = -90.0, min_lon = 180.0, max_lon = -180.0;
+  for (roadnet::VertexId v = 0;
+       v < static_cast<roadnet::VertexId>(net.NumVertices()); ++v) {
+    const auto& pos = net.vertex(v).pos;
+    min_lat = std::min(min_lat, pos.lat);
+    max_lat = std::max(max_lat, pos.lat);
+    min_lon = std::min(min_lon, pos.lon);
+    max_lon = std::max(max_lon, pos.lon);
+  }
+  constexpr double kMetersPerDegLat = 111320.0;
+  // The index fixes its longitude scale at the first vertex's latitude.
+  const double meters_per_deg_lon =
+      kMetersPerDegLat *
+      std::cos(net.vertex(0).pos.lat * 3.14159265358979 / 180.0);
+
+  for (const double cell_m : {60.0, 250.0, 1000.0}) {
+    const double cell_lat = cell_m / kMetersPerDegLat;
+    const double cell_lon = cell_m / meters_per_deg_lon;
+    Rng rng(static_cast<uint64_t>(cell_m));
+    std::vector<roadnet::LatLon> probes;
+    for (roadnet::EdgeId e = 0;
+         e < static_cast<roadnet::EdgeId>(net.NumEdges()); e += 37) {
+      probes.push_back(net.EdgeMidpoint(e));
+    }
+    // On a cell border in lat, lon or both (every third exactly on it).
+    for (int i = 0; i < 48; ++i) {
+      roadnet::LatLon p{rng.Uniform(min_lat, max_lat),
+                        rng.Uniform(min_lon, max_lon)};
+      const auto on_border = [&](double x, double cell) {
+        const double jitter = i % 3 == 0 ? 0.0 : rng.Uniform(-1e-6, 1e-6);
+        return std::round(x / cell) * cell + jitter;
+      };
+      if (i % 4 != 1) p.lat = on_border(p.lat, cell_lat);
+      if (i % 4 != 0) p.lon = on_border(p.lon, cell_lon);
+      probes.push_back(p);
+    }
+    // Outside the rectangle: up to 500 m past one side (the largest radius
+    // still reaches the border edges from there), and ~1,000 km away.
+    for (int i = 0; i < 32; ++i) {
+      roadnet::LatLon p{rng.Uniform(min_lat, max_lat),
+                        rng.Uniform(min_lon, max_lon)};
+      const double out_lat = rng.Uniform(0.0, 500.0) / kMetersPerDegLat;
+      const double out_lon = out_lat * kMetersPerDegLat / meters_per_deg_lon;
+      if (i % 4 == 0) p.lat = max_lat + out_lat;
+      if (i % 4 == 1) p.lat = min_lat - out_lat;
+      if (i % 4 == 2) p.lon = max_lon + out_lon;
+      if (i % 4 == 3) p.lon = min_lon - out_lon;
+      probes.push_back(p);
+    }
+    probes.push_back({min_lat - 9.0, min_lon - 9.0});
+    probes.push_back({max_lat + 9.0, max_lon + 9.0});
+    ExpectMatchesBruteForce(net, cell_m, probes);
+  }
+}
+
+// A network file is outside input too. Two clusters ~960 km apart would
+// span thousands of 250 m cells, and a vertex at latitude 1e300 would put
+// cell coordinates beyond any int, so the grid coarsens its cells; an edge
+// with a non-finite vertex is at NaN distance from every fix and is never
+// indexed. None of this may change a query's result.
+TEST(SpatialIndexTest, FarApartClustersAndNonFiniteVerticesQueryExactly) {
+  roadnet::RoadNetwork net;
+  const auto a0 = net.AddVertex({30.0, 104.0});
+  const auto a1 = net.AddVertex({30.0, 104.002});
+  const auto a2 = net.AddVertex({30.001, 104.002});
+  // Same latitude as the first cluster: the index's one longitude scale
+  // (set at the first vertex) holds city-wide, not across latitudes.
+  const auto b0 = net.AddVertex({30.0, 114.0});
+  const auto b1 = net.AddVertex({30.002, 114.0});
+  const auto lost =
+      net.AddVertex({std::numeric_limits<double>::quiet_NaN(), 104.001});
+  const auto far = net.AddVertex({1e300, 104.0});
+  net.AddEdge(a0, a1);
+  net.AddEdge(a1, a2);
+  net.AddEdge(b0, b1);
+  net.AddEdge(a2, lost, 100.0);
+  net.AddEdge(lost, a0, 100.0);
+  net.AddEdge(a0, far, 100.0);
+  net.Build();
+  // Around each cluster, and halfway between them.
+  std::vector<roadnet::LatLon> probes = {{30.0, 109.0}};
+  for (const double lon : {104.0, 114.0}) {
+    for (const double d : {-0.001, 0.0002, 0.0011, 0.0025}) {
+      probes.push_back({30.0 + d, lon + d / 2.0});
+    }
+  }
+  ExpectMatchesBruteForce(net, 250.0, probes);
+}
+
+// Raw fixes are outside input. A fix with a non-finite coordinate, or one so
+// far off that no cell within its radius holds an edge, has no candidates;
+// the matcher drops it like any other unmatched fix. (A NaN latitude once
+// sent INT_MIN into the cell-ring arithmetic: signed overflow.)
+std::vector<roadnet::LatLon> UnmatchableFixes(const roadnet::LatLon& near) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<roadnet::LatLon> fixes = {{nan, nan}, {-1e300, -1e300}};
+  for (const double bad : {nan, inf, -inf, 1e300}) {
+    fixes.push_back({bad, near.lon});
+    fixes.push_back({near.lat, bad});
+  }
+  return fixes;
+}
+
+TEST(SpatialIndexTest, NonFiniteAndFarFixesHaveNoCandidates) {
+  const auto net = SmallGrid();
+  HmmMapMatcher matcher(&net);
+  for (const auto& p : UnmatchableFixes(net.EdgeMidpoint(10))) {
+    EXPECT_TRUE(matcher.index().Query(p, 60.0).empty());
+    EXPECT_TRUE(matcher.index().QueryReference(p, 60.0).empty());
+    StreamingMatcher stream(&matcher);
+    stream.Reset(1);
+    EXPECT_FALSE(stream.MatchPoint({p, 0.0}));
+    EXPECT_EQ(stream.num_layers(), 0u);
+  }
+}
+
+TEST(HmmMatcherTest, UnmatchableFixesAreDropped) {
+  const auto net = SmallGrid();
+  const auto ds = SmallDataset(net, 2);
+  traj::GpsSampler sampler(&net, {});
+  HmmMapMatcher matcher(&net);
+  const auto bad = UnmatchableFixes(net.EdgeMidpoint(10));
+  for (size_t k = 0; k < 6; ++k) {
+    const auto clean = sampler.Sample(ds[k].traj);
+    ASSERT_GE(clean.points.size(), 2u);
+    // A bad fix before every clean one, the first of them earlier than any
+    // clean fix, so start_time must still come from the first matched fix.
+    traj::RawTrajectory dirty;
+    dirty.id = clean.id;
+    for (size_t i = 0; i < clean.points.size(); ++i) {
+      const roadnet::LatLon& off = bad[(i + k) % bad.size()];
+      dirty.points.push_back({off, clean.points[i].t - 0.5});
+      dirty.points.push_back(clean.points[i]);
+    }
+    const auto want = matcher.Match(clean);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    const auto got = matcher.Match(dirty);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->edges, want->edges) << "trip " << k;
+    EXPECT_EQ(got->start_time, want->start_time) << "trip " << k;
+
+    StreamingMatcher stream(&matcher);
+    stream.Reset(dirty.id);
+    for (size_t i = 0; i < dirty.points.size(); ++i) {
+      EXPECT_EQ(stream.MatchPoint(dirty.points[i]), i % 2 == 1)
+          << "trip " << k << " fix " << i;
+    }
+    const auto streamed = stream.Finish();
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    EXPECT_EQ(streamed->edges, want->edges) << "trip " << k;
+    EXPECT_EQ(streamed->start_time, want->start_time) << "trip " << k;
   }
 }
 

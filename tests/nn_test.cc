@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "nn/adam.h"
@@ -83,6 +86,36 @@ TEST(TensorTest, CrossEntropyOfPerfectPrediction) {
   const float probs[2] = {0.0f, 1.0f};
   EXPECT_NEAR(CrossEntropy(probs, 2, 1), 0.0f, 1e-5f);
   EXPECT_GT(CrossEntropy(probs, 2, 0), 10.0f);  // clamped, not inf
+}
+
+// Matrix storage starts on a 64-byte cache line however the matrix came to
+// be, so the GEMM's loads see one alignment phase in every run.
+TEST(TensorTest, StorageIsCacheLineAligned) {
+  const auto aligned = [](const Matrix& m) {
+    return reinterpret_cast<std::uintptr_t>(m.data()) % 64 == 0;
+  };
+  // Small vectors interleaved with the matrices vary the heap's state, so a
+  // 16-byte-aligned allocation would land at different 64-byte phases.
+  std::vector<std::vector<float>> heap_noise;
+  for (size_t n = 1; n <= 9; ++n) {
+    heap_noise.emplace_back(n);
+    Matrix m(n, 3 * n + 1, 1.0f);
+    EXPECT_TRUE(aligned(m)) << "constructed " << n;
+    m.Resize(n + 2, 5);
+    EXPECT_TRUE(aligned(m)) << "Resize " << n;
+    m.EnsureShape(4 * n, 7);
+    EXPECT_TRUE(aligned(m)) << "EnsureShape " << n;
+    Matrix copy(m);
+    EXPECT_TRUE(aligned(copy)) << "copy-constructed " << n;
+    Matrix copy_assigned;
+    copy_assigned = m;
+    EXPECT_TRUE(aligned(copy_assigned)) << "copy-assigned " << n;
+    Matrix moved(std::move(copy));
+    EXPECT_TRUE(aligned(moved)) << "move-constructed " << n;
+    Matrix move_assigned;
+    move_assigned = std::move(moved);
+    EXPECT_TRUE(aligned(move_assigned)) << "move-assigned " << n;
+  }
 }
 
 TEST(ParamTest, XavierInitWithinLimit) {

@@ -168,36 +168,44 @@ TEST(EdgeDistanceTableTest, BitIdenticalToLiveSearch) {
   cfg.rows = 7;
   cfg.cols = 7;
   const RoadNetwork net = BuildGridCity(cfg);
-  EdgeDistanceTable table;
-  table.Build(net, 900.0);
-  ASSERT_TRUE(table.built());
-  EXPECT_DOUBLE_EQ(table.bound_m(), 900.0);
-  EdgeDijkstra search(&net);
-  size_t settled_total = 0;
-  for (EdgeId src = 0; src < static_cast<EdgeId>(net.NumEdges()); ++src) {
-    search.Run(src, 900.0);
-    size_t reached = 0;
-    for (EdgeId dst = 0; dst < static_cast<EdgeId>(net.NumEdges()); ++dst) {
-      const double live = search.DistanceTo(dst);
-      const double tab = table.DistanceTo(src, dst);
-      if (live >= 0.0) {
-        // Exactly the live search's settled distance — no tolerance.
-        EXPECT_EQ(tab, live) << src << "->" << dst;
-        ++reached;
-      } else {
-        EXPECT_LT(tab, 0.0) << src << "->" << dst;
+  // A 1 m bound leaves one entry per row (the source itself), so the row
+  // search also runs at its shortest length.
+  for (const double bound : {1.0, 900.0}) {
+    EdgeDistanceTable table;
+    table.Build(net, bound);
+    ASSERT_TRUE(table.built());
+    EXPECT_DOUBLE_EQ(table.bound_m(), bound);
+    EdgeDijkstra search(&net);
+    size_t settled_total = 0;
+    for (EdgeId src = 0; src < static_cast<EdgeId>(net.NumEdges()); ++src) {
+      search.Run(src, bound);
+      size_t reached = 0;
+      for (EdgeId dst = 0; dst < static_cast<EdgeId>(net.NumEdges()); ++dst) {
+        const double live = search.DistanceTo(dst);
+        const double tab = table.DistanceTo(src, dst);
+        if (live >= 0.0) {
+          // Exactly the live search's settled distance — no tolerance.
+          EXPECT_EQ(tab, live) << src << "->" << dst;
+          ++reached;
+        } else {
+          EXPECT_LT(tab, 0.0) << src << "->" << dst;
+        }
       }
+      EXPECT_EQ(table.DistanceTo(src, src), 0.0);
+      // The settled list is exactly the reached set, source first.
+      ASSERT_EQ(search.settled().size(), reached) << src;
+      EXPECT_EQ(search.settled().front(), src);
+      settled_total += search.settled().size();
     }
-    EXPECT_EQ(table.DistanceTo(src, src), 0.0);
-    // The settled list is exactly the reached set, source first.
-    ASSERT_EQ(search.settled().size(), reached) << src;
-    EXPECT_EQ(search.settled().front(), src);
-    settled_total += search.settled().size();
+    // One entry per settled edge of every source's search: no duplicates,
+    // nothing beyond the bound.
+    EXPECT_EQ(table.NumEntries(), settled_total);
+    if (bound > 1.0) {
+      EXPECT_GT(table.NumEntries(), net.NumEdges());  // beyond the diagonal
+    } else {
+      EXPECT_EQ(table.NumEntries(), net.NumEdges());
+    }
   }
-  // One entry per settled edge of every source's search: no duplicates,
-  // nothing beyond the bound.
-  EXPECT_EQ(table.NumEntries(), settled_total);
-  EXPECT_GT(table.NumEntries(), net.NumEdges());  // beyond the diagonal
 }
 
 TEST(AlternativeRoutesTest, FindsDistinctRoutes) {
