@@ -19,19 +19,79 @@ std::string Preprocessor::RouteKey(const std::vector<traj::EdgeId>& edges) {
   return key;
 }
 
-void Preprocessor::IngestInto(GroupStats* g,
-                              const traj::MapMatchedTrajectory& t) {
-  g->num_trajs += 1;
-  // A trajectory contributes each distinct transition once (the fraction is
-  // "how many trajectories of the group travel this transition").
-  std::unordered_map<int64_t, bool> seen;
-  for (size_t i = 1; i < t.edges.size(); ++i) {
-    const int64_t key = TransitionKey(t.edges[i - 1], t.edges[i]);
-    if (seen.emplace(key, true).second) {
-      g->transition_count[key] += 1;
-    }
+namespace {
+
+// Orders a table's (key, count) entries by key.
+constexpr auto kByKey = [](const auto& a, const auto& b) {
+  return a.first < b.first;
+};
+// Compares an entry with a bare key, for lower_bound.
+constexpr auto kKeyBelow = [](const auto& entry, const auto& key) {
+  return entry.first < key;
+};
+
+/// The count stored under `key` in a key-sorted table, or null.
+template <typename K>
+const int64_t* FindCount(const std::vector<std::pair<K, int64_t>>& table,
+                         const K& key) {
+  auto it = std::lower_bound(table.begin(), table.end(), key, kKeyBelow);
+  return it != table.end() && it->first == key ? &it->second : nullptr;
+}
+
+/// Adds 1 to `key`'s count, inserting it at its sorted position; searches
+/// from `from` (keys arrive ascending) and returns the position after it.
+template <typename K>
+auto CountUp(std::vector<std::pair<K, int64_t>>* table,
+             typename std::vector<std::pair<K, int64_t>>::iterator from,
+             const K& key) {
+  auto it = std::lower_bound(from, table->end(), key, kKeyBelow);
+  if (it != table->end() && it->first == key) {
+    ++it->second;
+  } else {
+    it = table->insert(it, {key, 1});
   }
-  g->route_count[RouteKey(t.edges)] += 1;
+  return it + 1;
+}
+
+/// Sorts by key and keeps the first entry of a repeated key, as a hash
+/// map's insert did. Fit's tables and ExportState's snapshots are already
+/// strictly ascending, so this only checks them; a bundle file is outside
+/// input.
+template <typename K>
+void SortUniqueByKey(std::vector<std::pair<K, int64_t>>* table) {
+  if (!std::is_sorted(table->begin(), table->end(), kByKey)) {
+    std::stable_sort(table->begin(), table->end(), kByKey);
+  }
+  auto same_key = [](const auto& a, const auto& b) {
+    return a.first == b.first;
+  };
+  table->erase(std::unique(table->begin(), table->end(), same_key),
+               table->end());
+}
+
+template <typename T>
+void Append(std::vector<T>* dst, const std::vector<T>& src) {
+  dst->insert(dst->end(), src.begin(), src.end());
+}
+
+template <typename T>
+void SortUnique(std::vector<T>* v) {
+  std::sort(v->begin(), v->end());
+  v->erase(std::unique(v->begin(), v->end()), v->end());
+  v->shrink_to_fit();
+}
+
+}  // namespace
+
+void Preprocessor::IngestInto(GroupStats* g,
+                              const std::vector<int64_t>& transitions,
+                              const std::string& route) {
+  g->num_trajs += 1;
+  auto it = g->transition_count.begin();
+  for (const int64_t key : transitions) {
+    it = CountUp(&g->transition_count, it, key);
+  }
+  CountUp(&g->route_count, g->route_count.begin(), route);
 }
 
 void Preprocessor::RebuildNormalSet(GroupStats* g, bool slot_group) const {
@@ -48,17 +108,26 @@ void Preprocessor::RebuildNormalSet(GroupStats* g, bool slot_group) const {
     const auto* edges =
         reinterpret_cast<const traj::EdgeId*>(route_key.data());
     for (size_t i = 0; i < n; ++i) {
-      g->normal_edges[edges[i]] = true;
+      g->normal_edges.push_back(edges[i]);
       if (i > 0) {
-        g->normal_transitions[TransitionKey(edges[i - 1], edges[i])] = true;
+        g->normal_transitions.push_back(TransitionKey(edges[i - 1], edges[i]));
       }
     }
   }
+  SortUnique(&g->normal_transitions);
+  SortUnique(&g->normal_edges);
 }
 
-void Preprocessor::RebuildAllNormalSets() {
-  for (auto& [key, g] : groups_) RebuildNormalSet(&g, /*slot_group=*/true);
-  for (auto& [sd, g] : all_slots_) RebuildNormalSet(&g, /*slot_group=*/false);
+void Preprocessor::FinishGroups() {
+  auto finish = [this](GroupStats* g, bool slot_group) {
+    SortUniqueByKey(&g->transition_count);
+    SortUniqueByKey(&g->route_count);
+    g->transition_count.shrink_to_fit();
+    g->route_count.shrink_to_fit();
+    RebuildNormalSet(g, slot_group);
+  };
+  for (auto& [key, g] : groups_) finish(&g, /*slot_group=*/true);
+  for (auto& [sd, g] : all_slots_) finish(&g, /*slot_group=*/false);
 }
 
 bool Preprocessor::EdgeOnNormalRouteAt(const traj::SdPair& sd,
@@ -66,7 +135,8 @@ bool Preprocessor::EdgeOnNormalRouteAt(const traj::SdPair& sd,
                                        traj::EdgeId edge) const {
   const GroupStats* g = FindGroup(sd, start_time);
   if (g == nullptr || g->num_trajs == 0) return false;
-  return g->normal_edges.contains(edge);
+  const auto& normal = g->normal_edges;
+  return std::binary_search(normal.begin(), normal.end(), edge);
 }
 
 void Preprocessor::Fit(const traj::Dataset& historical) {
@@ -76,7 +146,7 @@ void Preprocessor::Fit(const traj::Dataset& historical) {
   for (const auto& lt : historical.trajs()) {
     (void)Ingest(lt.traj);
   }
-  RebuildAllNormalSets();
+  FinishGroups();
 }
 
 void Preprocessor::Update(const traj::MapMatchedTrajectory& t) {
@@ -94,8 +164,19 @@ std::pair<GroupStats*, GroupStats*> Preprocessor::Ingest(
                      traj::TimeSlotOf(t.start_time, config_.time_slot_hours)};
   GroupStats* slot_group = &groups_[key];
   GroupStats* aggregate = &all_slots_[t.sd()];
-  IngestInto(slot_group, t);
-  IngestInto(aggregate, t);
+  // A trajectory contributes each distinct transition once (the fraction is
+  // "how many trajectories of the group travel this transition").
+  std::vector<int64_t> transitions;
+  transitions.reserve(t.edges.size() - 1);
+  for (size_t i = 1; i < t.edges.size(); ++i) {
+    transitions.push_back(TransitionKey(t.edges[i - 1], t.edges[i]));
+  }
+  std::sort(transitions.begin(), transitions.end());
+  transitions.erase(std::unique(transitions.begin(), transitions.end()),
+                    transitions.end());
+  const std::string route = RouteKey(t.edges);
+  IngestInto(slot_group, transitions, route);
+  IngestInto(aggregate, transitions, route);
   return {slot_group, aggregate};
 }
 
@@ -123,10 +204,10 @@ std::vector<double> Preprocessor::TransitionFractions(
   const GroupStats* g = FindGroup(t.sd(), t.start_time);
   for (size_t i = 1; i + 1 < t.edges.size(); ++i) {
     if (g == nullptr || g->num_trajs == 0) continue;
-    auto it = g->transition_count.find(TransitionKey(t.edges[i - 1],
-                                                     t.edges[i]));
-    if (it != g->transition_count.end()) {
-      fractions[i] = static_cast<double>(it->second) /
+    const int64_t key = TransitionKey(t.edges[i - 1], t.edges[i]);
+    const int64_t* count = FindCount(g->transition_count, key);
+    if (count != nullptr) {
+      fractions[i] = static_cast<double>(*count) /
                      static_cast<double>(g->num_trajs);
     }
   }
@@ -166,9 +247,10 @@ double Preprocessor::TransitionFractionAt(const traj::SdPair& sd,
                                           traj::EdgeId cur) const {
   const GroupStats* g = FindGroup(sd, start_time);
   if (g == nullptr || g->num_trajs == 0) return 0.0;
-  auto it = g->transition_count.find(TransitionKey(prev, cur));
-  if (it == g->transition_count.end()) return 0.0;
-  return static_cast<double>(it->second) / static_cast<double>(g->num_trajs);
+  const int64_t key = TransitionKey(prev, cur);
+  const int64_t* count = FindCount(g->transition_count, key);
+  if (count == nullptr) return 0.0;
+  return static_cast<double>(*count) / static_cast<double>(g->num_trajs);
 }
 
 uint8_t Preprocessor::NormalRouteFeatureAt(const traj::SdPair& sd,
@@ -177,7 +259,9 @@ uint8_t Preprocessor::NormalRouteFeatureAt(const traj::SdPair& sd,
                                            traj::EdgeId cur) const {
   const GroupStats* g = FindGroup(sd, start_time);
   if (g == nullptr || g->num_trajs == 0) return 1;
-  return g->normal_transitions.contains(TransitionKey(prev, cur)) ? 0 : 1;
+  const auto& normal = g->normal_transitions;
+  const int64_t key = TransitionKey(prev, cur);
+  return std::binary_search(normal.begin(), normal.end(), key) ? 0 : 1;
 }
 
 std::vector<GroupSnapshot> Preprocessor::ExportState() const {
@@ -189,10 +273,8 @@ std::vector<GroupSnapshot> Preprocessor::ExportState() const {
     s.sd = sd;
     s.slot = slot;
     s.num_trajs = g.num_trajs;
-    s.transitions.assign(g.transition_count.begin(), g.transition_count.end());
-    std::sort(s.transitions.begin(), s.transitions.end());
-    s.routes.assign(g.route_count.begin(), g.route_count.end());
-    std::sort(s.routes.begin(), s.routes.end());
+    s.transitions = g.transition_count;
+    s.routes = g.route_count;
     return s;
   };
   for (const auto& [key, g] : groups_) {
@@ -217,10 +299,10 @@ void Preprocessor::ImportState(const std::vector<GroupSnapshot>& snapshots) {
     GroupStats* g = s.slot < 0 ? &all_slots_[s.sd]
                                : &groups_[GroupKey{s.sd, s.slot}];
     g->num_trajs = s.num_trajs;
-    g->transition_count.insert(s.transitions.begin(), s.transitions.end());
-    g->route_count.insert(s.routes.begin(), s.routes.end());
+    Append(&g->transition_count, s.transitions);
+    Append(&g->route_count, s.routes);
   }
-  RebuildAllNormalSets();
+  FinishGroups();
 }
 
 }  // namespace rl4oasd::core

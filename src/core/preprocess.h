@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -34,20 +35,23 @@ struct PreprocessConfig {
   int64_t min_slot_support = 25;
 };
 
-/// Historical statistics for one (SD pair, time slot) group.
+/// Historical statistics for one (SD pair, time slot) group. Every table is
+/// a vector sorted by key with unique keys, searched by binary search: a
+/// served model holds hundreds of groups of a few dozen entries each, and
+/// flat arrays keep them in a fraction of a node-based map's memory.
 struct GroupStats {
   int64_t num_trajs = 0;
-  /// Count of trajectories containing transition (prev << 32 | cur).
-  std::unordered_map<int64_t, int64_t> transition_count;
-  /// Distinct routes and their trajectory counts.
-  std::unordered_map<std::string, int64_t> route_count;
+  /// (prev << 32 | cur, count of trajectories containing that transition).
+  std::vector<std::pair<int64_t, int64_t>> transition_count;
+  /// (route key, trajectory count) per distinct route.
+  std::vector<std::pair<std::string, int64_t>> route_count;
   /// Transitions that occur on an inferred normal route (fraction > delta).
   /// Derived from route_count; every mutator rebuilds it before returning,
   /// so const readers only ever read. Empty in a slot group below
   /// min_slot_support, whose queries go to the SD pair's aggregate.
-  std::unordered_map<int64_t, bool> normal_transitions;
+  std::vector<int64_t> normal_transitions;
   /// Edges that lie on an inferred normal route (same rebuild).
-  std::unordered_map<traj::EdgeId, bool> normal_edges;
+  std::vector<traj::EdgeId> normal_edges;
 };
 
 /// Serializable snapshot of one group's statistics. `slot == -1` denotes the
@@ -145,11 +149,17 @@ class Preprocessor {
   /// `t` is too short to carry a transition.
   std::pair<GroupStats*, GroupStats*> Ingest(
       const traj::MapMatchedTrajectory& t);
-  static void IngestInto(GroupStats* g, const traj::MapMatchedTrajectory& t);
+  /// Counts one trajectory with the given distinct transitions (ascending)
+  /// and route key into `g`, inserting new keys in key order.
+  static void IngestInto(GroupStats* g, const std::vector<int64_t>& transitions,
+                         const std::string& route);
   /// Rebuilds `g`'s normal-route sets from its route counts; a slot group
   /// below min_slot_support keeps none (queries never reach it).
   void RebuildNormalSet(GroupStats* g, bool slot_group) const;
-  void RebuildAllNormalSets();
+  /// The end of Fit and ImportState: puts every group's tables in key
+  /// order (ImportState appends snapshots as they come), trims them to
+  /// size and rebuilds the normal-route sets.
+  void FinishGroups();
 
   PreprocessConfig config_;
   uint64_t stats_generation_ = 0;

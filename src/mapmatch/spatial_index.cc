@@ -14,6 +14,10 @@ namespace {
 
 constexpr double kMetersPerDegLat = 111320.0;
 
+// The longitude scale's latitude stays below this, so the scale stays
+// positive.
+constexpr double kMaxScaleLatDeg = 89.9;
+
 // Grid bounds: the occupied cell rectangle may hold at most this many cells
 // per edge (plus a constant), and absolute cell coordinates stay below
 // kMaxCellCoord, so every int computed from them is far from overflow.
@@ -33,10 +37,18 @@ SpatialIndex::SpatialIndex(const roadnet::RoadNetwork* net,
                            double cell_size_m)
     : net_(net) {
   RL4_CHECK_GT(cell_size_m, 0.0);
-  // Use the latitude of the first vertex to fix the longitude scale; city
-  // extents are small enough that one scale suffices.
+  // One longitude scale serves the whole grid. Taken at the finite vertex
+  // latitude farthest from the equator (clamped short of the poles), it is
+  // no larger than the scale of any edge's own latitudes, so the index's
+  // cell and box distances lower-bound the exact ones on every edge, however
+  // many degrees of latitude the network spans.
   double ref_lat = 0.0;
-  if (net->NumVertices() > 0) ref_lat = net->vertex(0).pos.lat;
+  for (roadnet::VertexId v = 0;
+       v < static_cast<roadnet::VertexId>(net->NumVertices()); ++v) {
+    const double lat = std::abs(net->vertex(v).pos.lat);
+    if (std::isfinite(lat)) ref_lat = std::max(ref_lat, lat);
+  }
+  ref_lat = std::min(ref_lat, kMaxScaleLatDeg);
   meters_per_deg_lon_ =
       kMetersPerDegLat * std::cos(ref_lat * 3.14159265358979 / 180.0);
 

@@ -5,14 +5,7 @@
 namespace rl4oasd::nn {
 
 AdamOptimizer::AdamOptimizer(ParameterRegistry* registry, AdamConfig config)
-    : registry_(registry), config_(config) {
-  m_.reserve(registry->params().size());
-  v_.reserve(registry->params().size());
-  for (const auto* p : registry->params()) {
-    m_.emplace_back(p->value.rows(), p->value.cols());
-    v_.emplace_back(p->value.rows(), p->value.cols());
-  }
-}
+    : registry_(registry), config_(config) {}
 
 void AdamOptimizer::Step() {
   ++t_;
@@ -21,7 +14,17 @@ void AdamOptimizer::Step() {
   const float bias1 = 1.0f - std::pow(b1, static_cast<float>(t_));
   const float bias2 = 1.0f - std::pow(b2, static_cast<float>(t_));
   const auto& params = registry_->params();
-  if (active_rows_.empty()) active_rows_.resize(params.size());
+  // The moments start at zero on the first step, so a model that only
+  // serves (loaded, cloned, restored) never allocates them.
+  if (m_.empty()) {
+    m_.reserve(params.size());
+    v_.reserve(params.size());
+    for (const Parameter* p : params) {
+      m_.emplace_back(p->value.rows(), p->value.cols());
+      v_.emplace_back(p->value.rows(), p->value.cols());
+    }
+    active_rows_.resize(params.size());
+  }
   for (size_t k = 0; k < params.size(); ++k) {
     Parameter* p = params[k];
     auto update_row = [&](float* w, const float* g, float* m, float* v,

@@ -17,7 +17,8 @@ struct AdamConfig {
 
 /// Adam (Kingma & Ba) with bias correction. Maintains per-parameter first and
 /// second moment estimates keyed by registry position, so the registry must
-/// not change between Step() calls.
+/// not change once Step() has run; the moments are allocated (as zeros) at
+/// the first Step().
 class AdamOptimizer {
  public:
   AdamOptimizer(ParameterRegistry* registry, AdamConfig config);

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "nn/kernels.h"
+
 namespace rl4oasd::nn {
 
 void LstmBatchState::Gather(std::span<const LstmState* const> states,
@@ -56,19 +58,80 @@ void TransposeInto(const Matrix& src, Matrix* dst) {
   }
 }
 
+/// In-place activations of one stream's 4H gate pre-activations: [i, f]
+/// sigmoid, [g] tanh, [o] sigmoid. The one activation body: Forward and
+/// every StepRows variant inline it.
+RL4_ALWAYS_INLINE void ActivateGates(float* gates, size_t H) {
+  for (size_t i = 0; i < H; ++i) gates[i] = Sigmoid(gates[i]);
+  for (size_t i = H; i < 2 * H; ++i) gates[i] = Sigmoid(gates[i]);
+  for (size_t i = 2 * H; i < 3 * H; ++i) gates[i] = Tanh(gates[i]);
+  for (size_t i = 3 * H; i < 4 * H; ++i) gates[i] = Sigmoid(gates[i]);
+}
+
+/// Everything one StepRows call reads and writes.
+struct StepOperands {
+  size_t batch;
+  size_t input_dim;
+  size_t hidden_dim;
+  const float* x;     // batch x input_dim
+  const float* wx_t;  // input_dim x 4H
+  const float* wh_t;  // hidden_dim x 4H
+  const float* bias;  // 4H
+  float* gates;       // batch x 4H scratch
+  float* h;           // batch x H, updated in place
+  float* c;           // batch x H, updated in place
+};
+
+/// The streaming step body, compiled by each variant wrapper below at its
+/// own vector width (WIDE is its GEMM tile). gates = (X Wx^T + b) +
+/// H_prev Wh^T against the k-major copies: row b holds stream b's 4H
+/// pre-activations, each the same ascending-k chain, in the same
+/// association, as the sequence Forward. The recurrent GEMM reads every h
+/// row before the cell update overwrites any. Every elementwise operation
+/// is one IEEE operation per lane, so the width never changes a value.
+template <size_t WIDE>
+RL4_ALWAYS_INLINE void StepBody(const StepOperands& op) {
+  const size_t H = op.hidden_dim;
+  const size_t h4 = 4 * H;
+  internal::GemmLoop<WIDE>(op.x, op.batch, op.input_dim, op.input_dim, op.wx_t,
+                           h4, h4, op.gates, h4, /*accumulate=*/false);
+  for (size_t s = 0; s < op.batch; ++s) {
+    float* g = op.gates + s * h4;
+    for (size_t r = 0; r < h4; ++r) g[r] += op.bias[r];
+  }
+  internal::GemmLoop<WIDE>(op.h, op.batch, H, H, op.wh_t, h4, h4, op.gates, h4,
+                           /*accumulate=*/true);
+  for (size_t s = 0; s < op.batch; ++s) {
+    float* g = op.gates + s * h4;
+    ActivateGates(g, H);
+    const float* ig = g;
+    const float* fg = g + H;
+    const float* gg = g + 2 * H;
+    const float* og = g + 3 * H;
+    float* hs = op.h + s * H;
+    float* cs = op.c + s * H;
+    for (size_t i = 0; i < H; ++i) {
+      cs[i] = fg[i] * cs[i] + ig[i] * gg[i];
+      hs[i] = og[i] * Tanh(cs[i]);
+    }
+  }
+}
+
+#ifdef RL4_NN_X86_VARIANTS
+__attribute__((target("avx2"))) void StepAvx2(const StepOperands& op) {
+  StepBody<internal::kAvx2Tile>(op);
+}
+
+__attribute__((target("avx512f"))) void StepAvx512f(const StepOperands& op) {
+  StepBody<internal::kAvx512fTile>(op);
+}
+#endif
+
 }  // namespace
 
 void Lstm::Repack() {
   TransposeInto(wx_.value, &wx_t_);
   TransposeInto(wh_.value, &wh_t_);
-}
-
-void Lstm::ActivateGates(float* gates) const {
-  const size_t H = hidden_dim_;
-  for (size_t i = 0; i < H; ++i) gates[i] = Sigmoid(gates[i]);
-  for (size_t i = H; i < 2 * H; ++i) gates[i] = Sigmoid(gates[i]);
-  for (size_t i = 2 * H; i < 3 * H; ++i) gates[i] = Tanh(gates[i]);
-  for (size_t i = 3 * H; i < 4 * H; ++i) gates[i] = Sigmoid(gates[i]);
 }
 
 void Lstm::StepForwardBatch(const Matrix& x, LstmBatchState* state) const {
@@ -81,38 +144,34 @@ void Lstm::StepForwardBatch(const Matrix& x, LstmBatchState* state) const {
   StepRows(B, x.data(), state->h.data(), state->c.data());
 }
 
-void Lstm::StepRows(size_t batch, const float* x, float* h, float* c) const {
-  const size_t H = hidden_dim_;
-  const size_t h4 = 4 * H;
-  // gates = (X Wx^T + b) + H_prev Wh^T against the k-major copies: row b
-  // holds stream b's 4H pre-activations, each the same ascending-k chain,
-  // in the same association, as the sequence Forward. The recurrent GEMM
-  // reads every h row before the cell update below overwrites any.
+void Lstm::StepRowsOn(internal::Isa isa, size_t batch, const float* x, float* h,
+                      float* c) const {
+  RL4_CHECK(internal::IsaAvailable(isa)) << internal::IsaName(isa);
   // Thread-local scratch, fully rewritten: no per-step allocation.
   static thread_local Matrix gates;  // batch x 4H
-  gates.EnsureShape(batch, h4);
-  Gemm(x, batch, input_dim_, input_dim_, wx_t_.data(), h4, h4, gates.data(),
-       h4, /*accumulate=*/false);
-  const float* bias = b_.value.Row(0);
-  for (size_t s = 0; s < batch; ++s) {
-    float* g = gates.Row(s);
-    for (size_t r = 0; r < h4; ++r) g[r] += bias[r];
-  }
-  Gemm(h, batch, H, H, wh_t_.data(), h4, h4, gates.data(), h4,
-       /*accumulate=*/true);
-  for (size_t s = 0; s < batch; ++s) {
-    float* g = gates.Row(s);
-    ActivateGates(g);
-    const float* ig = g;
-    const float* fg = g + H;
-    const float* gg = g + 2 * H;
-    const float* og = g + 3 * H;
-    float* hs = h + s * H;
-    float* cs = c + s * H;
-    for (size_t i = 0; i < H; ++i) {
-      cs[i] = fg[i] * cs[i] + ig[i] * gg[i];
-      hs[i] = og[i] * Tanh(cs[i]);
-    }
+  gates.EnsureShape(batch, 4 * hidden_dim_);
+  StepOperands op;
+  op.batch = batch;
+  op.input_dim = input_dim_;
+  op.hidden_dim = hidden_dim_;
+  op.x = x;
+  op.wx_t = wx_t_.data();
+  op.wh_t = wh_t_.data();
+  op.bias = b_.value.Row(0);
+  op.gates = gates.data();
+  op.h = h;
+  op.c = c;
+  switch (isa) {
+#ifdef RL4_NN_X86_VARIANTS
+    case internal::Isa::kAvx512f:
+      StepAvx512f(op);
+      return;
+    case internal::Isa::kAvx2:
+      StepAvx2(op);
+      return;
+#endif
+    default:
+      StepBody<internal::kBaselineTile>(op);
   }
 }
 
@@ -156,7 +215,7 @@ std::vector<LstmStepCache> Lstm::Forward(
     }
     Gemm(h_prev.data(), 1, H, H, wh_t.data(), 4 * H, 4 * H,
          cache.gates.data(), 4 * H, /*accumulate=*/true);
-    ActivateGates(cache.gates.data());
+    ActivateGates(cache.gates.data(), H);
     cache.c_prev = c_prev;
     cache.c.resize(H);
     cache.tanh_c.resize(H);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "nn/param.h"
+#include "nn/tensor.h"
 
 namespace rl4oasd::nn {
 
@@ -86,7 +87,16 @@ class Lstm {
   /// at every batch width. Every gate is the ascending-k product chain of
   /// the sequence Forward, combined as (Wx x + b) + Wh h, so each row is
   /// bit-identical to stepping that stream alone. Inference only.
-  void StepRows(size_t batch, const float* x, float* h, float* c) const;
+  /// The body — both GEMMs, the bias add, the activations and the cell
+  /// update — is compiled once per instruction-set variant and runs the
+  /// host's (internal::HostIsa); every variant is bit-identical.
+  void StepRows(size_t batch, const float* x, float* h, float* c) const {
+    StepRowsOn(internal::HostIsa(), batch, x, h, c);
+  }
+
+  /// StepRows on one available variant: the test seam that compares them.
+  void StepRowsOn(internal::Isa isa, size_t batch, const float* x, float* h,
+                  float* c) const;
 
   /// Rebuilds the k-major copies StepRows reads (Wx^T: I x 4H,
   /// Wh^T: H x 4H) from the parameters. Runs at construction; call it again
@@ -133,10 +143,6 @@ class Lstm {
   }
 
  private:
-  /// In-place activations of the 4H gate pre-activations: [i, f] sigmoid,
-  /// [g] tanh, [o] sigmoid (shared by Forward and StepRows).
-  void ActivateGates(float* gates) const;
-
   size_t input_dim_;
   size_t hidden_dim_;
   Parameter wx_;  // 4H x input_dim

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/kernels.h"
+
 namespace rl4oasd::nn {
 
 void MatVec(const Matrix& m, const float* x, float* y) {
@@ -18,117 +20,85 @@ void MatVec(const Matrix& m, const float* x, float* y) {
 
 namespace {
 
-// The row-tile helpers are always_inline so each ISA-specific Gemm body
-// below compiles them with its own vector width.
-#if defined(__GNUC__)
-#define RL4_ALWAYS_INLINE __attribute__((always_inline)) inline
-#else
-#define RL4_ALWAYS_INLINE inline
-#endif
+using internal::Isa;
 
-/// One C tile of TILE consecutive columns for row i, accumulated in
-/// registers across the whole k extent: per element this is the plain
-/// ascending-k sum starting from zero — exactly the scalar dot-product
-/// chain — written (or added) to C once at the end. Constant trip count on
-/// the inner loop keeps the accumulators in vector registers.
-template <size_t TILE>
-RL4_ALWAYS_INLINE void GemmRowTile(const float* ai, size_t k, const float* b,
-                                   size_t ldb, float* ci, bool accumulate) {
-  float acc[TILE] = {};
-  for (size_t kx = 0; kx < k; ++kx) {
-    const float aik = ai[kx];
-    const float* bk = b + kx * ldb;
-    for (size_t t = 0; t < TILE; ++t) acc[t] += aik * bk[t];
-  }
-  if (accumulate) {
-    for (size_t t = 0; t < TILE; ++t) ci[t] += acc[t];
-  } else {
-    for (size_t t = 0; t < TILE; ++t) ci[t] = acc[t];
-  }
-}
-
-/// Variable-width tail tile (j extents not divisible by the register tile).
-RL4_ALWAYS_INLINE void GemmRowTail(const float* ai, size_t k, const float* b,
-                                   size_t ldb, size_t width, float* ci,
-                                   bool accumulate) {
-  float acc[7] = {};  // width < 8 by construction
-  for (size_t kx = 0; kx < k; ++kx) {
-    const float aik = ai[kx];
-    const float* bk = b + kx * ldb;
-    for (size_t t = 0; t < width; ++t) acc[t] += aik * bk[t];
-  }
-  if (accumulate) {
-    for (size_t t = 0; t < width; ++t) ci[t] += acc[t];
-  } else {
-    for (size_t t = 0; t < width; ++t) ci[t] = acc[t];
-  }
-}
-
-/// The GEMM loop nest, always_inline so each ISA-specific wrapper below
-/// compiles it (and the tile helpers) at its own vector width. Column
-/// tiles accumulate in registers over the full k extent, so each C element
-/// is the plain ascending-k product chain (the scalar dot-product order);
-/// with `accumulate` the finished chain is added to C in one step. The
-/// batch (j) dimension is the contiguous, auto-vectorized axis.
-RL4_ALWAYS_INLINE void GemmLoop(const float* a, size_t m, size_t k,
-                                size_t lda, const float* b, size_t n,
-                                size_t ldb, float* c, size_t ldc,
-                                bool accumulate) {
-  for (size_t j0 = 0; j0 < n;) {
-    const size_t left = n - j0;
-    const size_t tile = left >= 64 ? 64 : left >= 16 ? 16 : left >= 8 ? 8 : left;
-    for (size_t i = 0; i < m; ++i) {
-      const float* ai = a + i * lda;
-      float* ci = c + i * ldc + j0;
-      const float* bj = b + j0;
-      switch (tile) {
-        case 64:
-          GemmRowTile<64>(ai, k, bj, ldb, ci, accumulate);
-          break;
-        case 16:
-          GemmRowTile<16>(ai, k, bj, ldb, ci, accumulate);
-          break;
-        case 8:
-          GemmRowTile<8>(ai, k, bj, ldb, ci, accumulate);
-          break;
-        default:
-          GemmRowTail(ai, k, bj, ldb, tile, ci, accumulate);
-          break;
-      }
-    }
-    j0 += tile;
-  }
-}
-
-// AVX2 variant — AVX2 *without* FMA, so both variants execute the
-// identical multiply-then-add sequence (no contraction) and results stay
-// bit-identical across machines; only the register width differs.
-// Dispatch is a plain runtime branch on cpuid rather than target_clones:
-// the ifunc resolver target_clones emits runs before sanitizer runtimes
-// initialize and crashes under TSAN.
-#if defined(__GNUC__) && defined(__x86_64__) && !defined(__clang__)
-#define RL4_GEMM_AVX2 1
+#ifdef RL4_NN_X86_VARIANTS
 __attribute__((target("avx2"))) void GemmAvx2(const float* a, size_t m,
                                               size_t k, size_t lda,
                                               const float* b, size_t n,
                                               size_t ldb, float* c,
                                               size_t ldc, bool accumulate) {
-  GemmLoop(a, m, k, lda, b, n, ldb, c, ldc, accumulate);
+  internal::GemmLoop<internal::kAvx2Tile>(a, m, k, lda, b, n, ldb, c, ldc,
+                                          accumulate);
+}
+
+__attribute__((target("avx512f"))) void GemmAvx512f(const float* a, size_t m,
+                                                    size_t k, size_t lda,
+                                                    const float* b, size_t n,
+                                                    size_t ldb, float* c,
+                                                    size_t ldc,
+                                                    bool accumulate) {
+  internal::GemmLoop<internal::kAvx512fTile>(a, m, k, lda, b, n, ldb, c, ldc,
+                                             accumulate);
 }
 #endif
 
+void GemmVariant(Isa isa, const float* a, size_t m, size_t k, size_t lda,
+                 const float* b, size_t n, size_t ldb, float* c, size_t ldc,
+                 bool accumulate) {
+  switch (isa) {
+#ifdef RL4_NN_X86_VARIANTS
+    case Isa::kAvx512f:
+      GemmAvx512f(a, m, k, lda, b, n, ldb, c, ldc, accumulate);
+      return;
+    case Isa::kAvx2:
+      GemmAvx2(a, m, k, lda, b, n, ldb, c, ldc, accumulate);
+      return;
+#endif
+    default:
+      internal::GemmLoop<internal::kBaselineTile>(a, m, k, lda, b, n, ldb, c,
+                                                  ldc, accumulate);
+  }
+}
+
 }  // namespace
+
+namespace internal {
+
+const char* IsaName(Isa isa) {
+  switch (isa) {
+    case Isa::kBaseline:
+      return "baseline";
+    case Isa::kAvx2:
+      return "avx2";
+    case Isa::kAvx512f:
+      return "avx512f";
+  }
+  return "?";
+}
+
+Isa ResolveHostIsa() {
+#ifdef RL4_NN_X86_VARIANTS
+  // target("avx512f") implies AVX2 code generation, so it needs both.
+  const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+  if (avx2 && __builtin_cpu_supports("avx512f") != 0) return Isa::kAvx512f;
+  if (avx2) return Isa::kAvx2;
+#endif
+  return Isa::kBaseline;
+}
+
+void GemmOn(Isa isa, const float* a, size_t m, size_t k, size_t lda,
+            const float* b, size_t n, size_t ldb, float* c, size_t ldc,
+            bool accumulate) {
+  RL4_CHECK(IsaAvailable(isa)) << IsaName(isa);
+  GemmVariant(isa, a, m, k, lda, b, n, ldb, c, ldc, accumulate);
+}
+
+}  // namespace internal
 
 void Gemm(const float* a, size_t m, size_t k, size_t lda, const float* b,
           size_t n, size_t ldb, float* c, size_t ldc, bool accumulate) {
-#ifdef RL4_GEMM_AVX2
-  static const bool use_avx2 = __builtin_cpu_supports("avx2") != 0;
-  if (use_avx2) {
-    GemmAvx2(a, m, k, lda, b, n, ldb, c, ldc, accumulate);
-    return;
-  }
-#endif
-  GemmLoop(a, m, k, lda, b, n, ldb, c, ldc, accumulate);
+  GemmVariant(internal::HostIsa(), a, m, k, lda, b, n, ldb, c, ldc, accumulate);
 }
 
 void MatMul(const Matrix& a, const Matrix& b, Matrix* c) {

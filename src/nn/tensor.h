@@ -109,8 +109,41 @@ void MatVec(const Matrix& m, const float* x, float* y);
 /// accumulators and auto-vectorizes over it; k deliberately runs unblocked
 /// — splitting k into partial sums would reassociate the chains and break
 /// the contract.
+///
+/// The kernel runs the widest variant the host supports (internal::HostIsa):
+/// every variant performs the same operations per element, so the choice
+/// never changes a result.
 void Gemm(const float* a, size_t m, size_t k, size_t lda, const float* b,
           size_t n, size_t ldb, float* c, size_t ldc, bool accumulate);
+
+namespace internal {
+
+/// The instruction-set variants of Gemm and Lstm::StepRows, narrowest
+/// first. Each compiles the same loop bodies for a wider vector register,
+/// never with fused multiply-add, so all are bit-identical (see
+/// docs/ARCHITECTURE.md, "Instruction-set variants").
+enum class Isa { kBaseline, kAvx2, kAvx512f };
+
+const char* IsaName(Isa isa);
+
+/// cpuid: the widest variant this build compiled and this host runs.
+Isa ResolveHostIsa();
+
+/// The variant Gemm and Lstm::StepRows run, resolved once per process.
+inline Isa HostIsa() {
+  static const Isa isa = ResolveHostIsa();
+  return isa;
+}
+
+/// True when `isa`'s variant can run here (every narrower one can too).
+inline bool IsaAvailable(Isa isa) { return isa <= HostIsa(); }
+
+/// Gemm on one available variant: the test seam that compares them.
+void GemmOn(Isa isa, const float* a, size_t m, size_t k, size_t lda,
+            const float* b, size_t n, size_t ldb, float* c, size_t ldc,
+            bool accumulate);
+
+}  // namespace internal
 
 /// C = A * B. C is resized to (A.rows x B.cols).
 void MatMul(const Matrix& a, const Matrix& b, Matrix* c);

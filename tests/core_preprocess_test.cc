@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/feature_cache.h"
 
 #include "test_util.h"
@@ -217,6 +220,108 @@ TEST(FeatureCacheTest, ReturnsCachedValuesAndInvalidatesOnDrift) {
   other.id = 101;
   (void)cache.NoisyLabels(other);
   EXPECT_EQ(cache.size(), 2u);
+}
+
+void ExpectSameState(const std::vector<GroupSnapshot>& got,
+                     const std::vector<GroupSnapshot>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].sd, want[i].sd) << "group " << i;
+    EXPECT_EQ(got[i].slot, want[i].slot) << "group " << i;
+    EXPECT_EQ(got[i].num_trajs, want[i].num_trajs) << "group " << i;
+    EXPECT_EQ(got[i].transitions, want[i].transitions) << "group " << i;
+    EXPECT_EQ(got[i].routes, want[i].routes) << "group " << i;
+  }
+}
+
+/// Every query answers alike, on every trajectory and every edge it visits.
+void ExpectSameQueries(const Preprocessor& got, const Preprocessor& want,
+                       const traj::Dataset& data) {
+  EXPECT_EQ(got.NumGroups(), want.NumGroups());
+  for (const auto& lt : data.trajs()) {
+    const auto& t = lt.traj;
+    EXPECT_EQ(got.TransitionFractions(t), want.TransitionFractions(t));
+    EXPECT_EQ(got.NoisyLabels(t), want.NoisyLabels(t));
+    EXPECT_EQ(got.NormalRouteFeatures(t), want.NormalRouteFeatures(t));
+    for (const traj::EdgeId e : t.edges) {
+      EXPECT_EQ(got.EdgeOnNormalRouteAt(t.sd(), t.start_time, e),
+                want.EdgeOnNormalRouteAt(t.sd(), t.start_time, e));
+    }
+  }
+}
+
+// Two configs: the default, whose sparse slot groups defer to their SD
+// pair's aggregate, and one where every slot group keeps its own sets.
+std::vector<PreprocessConfig> StateConfigs() {
+  PreprocessConfig dense;
+  dense.min_slot_support = 3;
+  return {PreprocessConfig{}, dense};
+}
+
+// A served model's statistics come from ImportState of a bundle's
+// snapshots; exporting them again gives back exactly those snapshots.
+TEST(PreprocessStateTest, ImportOfExportRoundTripsExactly) {
+  const auto net = rl4oasd::testing::SmallGrid();
+  const auto data = rl4oasd::testing::SmallDataset(net, 4, 0.1, 3);
+  for (const PreprocessConfig& cfg : StateConfigs()) {
+    Preprocessor pre(cfg);
+    pre.Fit(data);
+    const auto snaps = pre.ExportState();
+    Preprocessor restored(cfg);
+    restored.ImportState(snaps);
+    ExpectSameState(restored.ExportState(), snaps);
+    ExpectSameQueries(restored, pre, data);
+  }
+}
+
+// The drift loop fine-tunes a loaded model: Update after ImportState must
+// land where one Fit over the union does.
+TEST(PreprocessStateTest, UpdateAfterImportEqualsFitOverTheUnion) {
+  const auto net = rl4oasd::testing::SmallGrid();
+  const auto data = rl4oasd::testing::SmallDataset(net, 4, 0.1, 5);
+  traj::Dataset first, second;
+  for (size_t i = 0; i < data.size(); ++i) {
+    (i % 3 == 0 ? second : first).Add(data[i]);
+  }
+  for (const PreprocessConfig& cfg : StateConfigs()) {
+    Preprocessor fitted(cfg);
+    fitted.Fit(first);
+    Preprocessor updated(cfg);
+    updated.ImportState(fitted.ExportState());
+    for (const auto& lt : second.trajs()) updated.Update(lt.traj);
+    Preprocessor batch(cfg);
+    batch.Fit(data);
+    ExpectSameState(updated.ExportState(), batch.ExportState());
+    ExpectSameQueries(updated, batch, data);
+  }
+}
+
+// A bundle file is outside input: keys out of order, or repeated within
+// and across snapshots of one group, import sorted with the first count of
+// each key kept.
+TEST(PreprocessStateTest, ImportSortsKeysAndKeepsTheFirstOfARepeat) {
+  auto ex = MakeFigure1Example();
+  Preprocessor pre(PreprocessConfig{});
+  pre.Fit(ex.dataset);
+  const auto snaps = pre.ExportState();
+  ASSERT_EQ(snaps.size(), 2u);  // the slot group and the aggregate
+  auto shuffled = snaps;
+  for (GroupSnapshot& s : shuffled) {
+    ASSERT_GE(s.transitions.size(), 2u);
+    ASSERT_GE(s.routes.size(), 2u);
+    std::reverse(s.transitions.begin(), s.transitions.end());
+    std::reverse(s.routes.begin(), s.routes.end());
+    s.transitions.push_back({s.transitions[0].first, 1000});
+  }
+  // A second snapshot of the first group repeats a route with another count.
+  GroupSnapshot repeat = shuffled[0];
+  repeat.transitions.clear();
+  repeat.routes = {{snaps[0].routes[0].first, 1000}};
+  shuffled.push_back(repeat);
+  Preprocessor restored(PreprocessConfig{});
+  restored.ImportState(shuffled);
+  ExpectSameState(restored.ExportState(), snaps);
+  ExpectSameQueries(restored, pre, ex.dataset);
 }
 
 TEST(PreprocessTest, TimeSlots) {

@@ -268,8 +268,8 @@ TEST(SpatialIndexTest, FarApartClustersAndNonFiniteVerticesQueryExactly) {
   const auto a0 = net.AddVertex({30.0, 104.0});
   const auto a1 = net.AddVertex({30.0, 104.002});
   const auto a2 = net.AddVertex({30.001, 104.002});
-  // Same latitude as the first cluster: the index's one longitude scale
-  // (set at the first vertex) holds city-wide, not across latitudes.
+  // Same latitude as the first cluster (WideLatitudeSpanQueriesExactly
+  // covers clusters at different latitudes).
   const auto b0 = net.AddVertex({30.0, 114.0});
   const auto b1 = net.AddVertex({30.002, 114.0});
   const auto lost =
@@ -287,6 +287,27 @@ TEST(SpatialIndexTest, FarApartClustersAndNonFiniteVerticesQueryExactly) {
   for (const double lon : {104.0, 114.0}) {
     for (const double d : {-0.001, 0.0002, 0.0011, 0.0025}) {
       probes.push_back({30.0 + d, lon + d / 2.0});
+    }
+  }
+  ExpectMatchesBruteForce(net, 250.0, probes);
+}
+
+// The index keeps one longitude scale for the whole grid. Taken at the
+// first vertex (latitude 30), it overstated distances near the latitude-40
+// edge by an eighth, past the query's slack: at radius 60 m these probes
+// lost 10 of their 25 candidates, the nearest 55.4 m away.
+TEST(SpatialIndexTest, WideLatitudeSpanQueriesExactly) {
+  roadnet::RoadNetwork net;
+  for (const double lat : {30.0, 40.0}) {
+    const auto a = net.AddVertex({lat, 104.0});
+    const auto b = net.AddVertex({lat + 0.002, 104.0});  // 222 m north
+    net.AddEdge(a, b);
+  }
+  net.Build();
+  std::vector<roadnet::LatLon> probes;
+  for (const double lat : {40.0, 40.0005, 40.001, 40.0015, 40.002, 40.0025}) {
+    for (int k = 0; k <= 8; ++k) {  // 0.0005-0.0009 degrees east
+      probes.push_back({lat, 104.0005 + 0.00005 * k});
     }
   }
   ExpectMatchesBruteForce(net, 250.0, probes);

@@ -5,6 +5,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -117,6 +122,130 @@ TEST(TensorTest, StorageIsCacheLineAligned) {
     EXPECT_TRUE(aligned(move_assigned)) << "move-assigned " << n;
   }
 }
+
+// ---- Instruction-set variants of Gemm and the LSTM step ---------------------
+
+TEST(IsaTest, ReportsTheDispatchedVariant) {
+  const internal::Isa isa = internal::HostIsa();
+  // Shows in a CI log which variant the goldens ran through.
+  std::printf("[ INFO     ] Gemm and Lstm::StepRows dispatch the %s variant\n",
+              internal::IsaName(isa));
+  RecordProperty("dispatched_isa", internal::IsaName(isa));
+  EXPECT_TRUE(internal::IsaAvailable(internal::Isa::kBaseline));
+  EXPECT_TRUE(internal::IsaAvailable(isa));
+}
+
+/// Each wide variant against the baseline. A variant this build did not
+/// compile, or this host cannot run, is skipped by name.
+class IsaVariantTest : public ::testing::TestWithParam<internal::Isa> {
+ protected:
+  void SetUp() override {
+    if (!internal::IsaAvailable(GetParam())) {
+      GTEST_SKIP() << "the " << internal::IsaName(GetParam())
+                   << " variant is not available here (this host runs "
+                   << internal::IsaName(internal::HostIsa()) << ")";
+    }
+  }
+};
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// `v` with every NaN replaced by one quiet NaN. When both operands of an
+/// add or multiply are NaN, x86 returns the first one, and which operand a
+/// compiler puts first is a register-allocation choice (IEEE 754 leaves the
+/// result's payload and sign open), so only NaN-ness is comparable there.
+std::vector<float> CanonicalNaN(std::vector<float> v) {
+  for (float& x : v) {
+    if (std::isnan(x)) x = std::numeric_limits<float>::quiet_NaN();
+  }
+  return v;
+}
+
+std::vector<float> RandomFloats(size_t n, Rng* rng) {
+  std::vector<float> v(n);
+  for (float& x : v) x = static_cast<float>(rng->Uniform(-1.0, 1.0));
+  return v;
+}
+
+TEST_P(IsaVariantTest, GemmMatchesTheBaselineBitForBit) {
+  Rng rng(41);
+  for (const size_t m : {1, 3, 12, 128}) {
+    for (const size_t k : {1, 7, 32, 96}) {
+      for (const size_t n : {1, 5, 8, 16, 63, 64, 127, 128, 200}) {
+        for (const bool strided : {false, true}) {
+          const size_t lda = k + (strided ? 3 : 0);
+          const size_t ldb = n + (strided ? 5 : 0);
+          const size_t ldc = n + (strided ? 2 : 0);
+          const auto a = RandomFloats(m * lda, &rng);
+          const auto b = RandomFloats(k * ldb, &rng);
+          const auto c0 = RandomFloats(m * ldc, &rng);
+          for (const bool accumulate : {false, true}) {
+            auto want = c0;
+            auto got = c0;
+            internal::GemmOn(internal::Isa::kBaseline, a.data(), m, k, lda,
+                             b.data(), n, ldb, want.data(), ldc, accumulate);
+            internal::GemmOn(GetParam(), a.data(), m, k, lda, b.data(), n, ldb,
+                             got.data(), ldc, accumulate);
+            ASSERT_TRUE(SameBits(got, want))
+                << "m " << m << " k " << k << " n " << n << " strided "
+                << strided << " accumulate " << accumulate;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(IsaVariantTest, LstmStepMatchesTheBaselineBitForBit) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float big = 1e30f;
+  const float tiny = 1e-40f;  // denormal
+  const float special[] = {0.f, -0.f, inf, -inf, nan, big, -big, tiny, -tiny};
+  const size_t num_special = std::size(special);
+  Rng rng(43);
+  for (const size_t I : {8, 32}) {
+    for (const size_t H : {8, 32}) {
+      for (const size_t B : {1, 3, 12, 128}) {
+        Lstm lstm("v", I, H, &rng);
+        // Every third stream carries special values: in its input, and in
+        // its hidden and cell state, at a position that moves per stream.
+        // The other streams stay finite and must match in every bit.
+        auto x = RandomFloats(B * I, &rng);
+        auto h = RandomFloats(B * H, &rng);
+        auto c = RandomFloats(B * H, &rng);
+        for (size_t s = 0; s < B; s += 3) {
+          for (size_t j = 0; j < I; j += 3) {
+            x[s * I + j] = special[(s + j) % num_special];
+          }
+          c[s * H + s % H] = special[s % num_special];
+          if (s % 2 == 0) {
+            h[s * H + (s + 1) % H] = special[(s + 5) % num_special];
+          }
+        }
+        auto want_h = h, want_c = c, got_h = h, got_c = c;
+        for (int step = 0; step < 3; ++step) {
+          lstm.StepRowsOn(internal::Isa::kBaseline, B, x.data(), want_h.data(),
+                          want_c.data());
+          lstm.StepRowsOn(GetParam(), B, x.data(), got_h.data(), got_c.data());
+          ASSERT_TRUE(SameBits(CanonicalNaN(got_h), CanonicalNaN(want_h)) &&
+                      SameBits(CanonicalNaN(got_c), CanonicalNaN(want_c)))
+              << "I " << I << " H " << H << " B " << B << " step " << step;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Variants, IsaVariantTest,
+    ::testing::Values(internal::Isa::kAvx2, internal::Isa::kAvx512f),
+    [](const ::testing::TestParamInfo<internal::Isa>& info) {
+      return std::string(internal::IsaName(info.param));
+    });
 
 TEST(ParamTest, XavierInitWithinLimit) {
   Rng rng(3);
