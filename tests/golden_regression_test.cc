@@ -19,14 +19,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/rl4oasd.h"
+#include "golden_file.h"
 #include "io/model_io.h"
 #include "mapmatch/hmm_matcher.h"
 #include "serve/fleet.h"
@@ -36,6 +35,8 @@
 
 namespace rl4oasd {
 namespace {
+
+using ::rl4oasd::testing::ExpectMatchesGoldenFile;
 
 constexpr const char* kGoldenPath =
     RL4OASD_TEST_DATA_DIR "/golden_detect_runs.txt";
@@ -77,44 +78,6 @@ std::string RenderRuns(int64_t id,
     for (const auto& r : runs) os << " [" << r.begin << "," << r.end << ")";
   }
   return os.str();
-}
-
-/// Compares `rendered` with the golden file at `path` line by line, so a
-/// failure names the first diverging line instead of dumping both files.
-/// With RL4OASD_UPDATE_GOLDEN set it rewrites the file instead and skips.
-void ExpectMatchesGoldenFile(const char* path, const std::string& rendered) {
-  if (std::getenv("RL4OASD_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << rendered;
-    GTEST_SKIP() << "golden file regenerated at " << path
-                 << " — review and commit the diff";
-  }
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good())
-      << "missing golden file " << path
-      << " — run RL4OASD_UPDATE_GOLDEN=1 ./build/tests/golden_regression_test";
-  std::stringstream golden;
-  golden << in.rdbuf();
-
-  std::istringstream got(rendered);
-  std::istringstream want(golden.str());
-  std::string got_line;
-  std::string want_line;
-  size_t line_no = 0;
-  while (std::getline(want, want_line)) {
-    ++line_no;
-    ASSERT_TRUE(std::getline(got, got_line))
-        << "output ends early at golden line " << line_no << ": "
-        << want_line;
-    EXPECT_EQ(got_line, want_line) << "first divergence at line " << line_no;
-    if (got_line != want_line) break;  // one precise diff beats hundreds
-  }
-  if (got_line == want_line) {
-    EXPECT_FALSE(std::getline(got, got_line))
-        << "output has extra lines past the golden file: " << got_line;
-  }
 }
 
 /// The golden pipeline's network, data and model, trained once per suite.

@@ -12,10 +12,14 @@
 // This file carries the `concurrency` ctest label so TSAN exercises the
 // MatchBatch sharding.
 #include <algorithm>
+#include <cstdio>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "golden_file.h"
 #include "mapmatch/hmm_matcher.h"
 #include "mapmatch/streaming_matcher.h"
 #include "test_util.h"
@@ -24,6 +28,7 @@
 namespace rl4oasd::mapmatch {
 namespace {
 
+using ::rl4oasd::testing::ExpectMatchesGoldenFile;
 using ::rl4oasd::testing::SmallDataset;
 using ::rl4oasd::testing::SmallGrid;
 
@@ -39,6 +44,24 @@ std::ostream& operator<<(std::ostream& os, const EquivCase& c) {
   return os << "seed" << c.seed << "_noise" << c.noise_m << "_drop"
             << c.dropout << "_r" << c.radius_m << "_k" << c.max_cands;
 }
+
+/// The sweep: cities, noise levels, dropout rates, candidate radii and caps.
+const EquivCase kSweep[] = {
+    {3, 15.0, 0.0, 60.0, 6},  {3, 40.0, 0.15, 60.0, 6},
+    {11, 15.0, 0.3, 40.0, 2}, {11, 35.0, 0.0, 100.0, 8},
+    {19, 25.0, 0.1, 80.0, 4},
+};
+
+std::string CaseName(const EquivCase& c) {
+  return "seed" + std::to_string(c.seed) + "_noise" +
+         std::to_string(static_cast<int>(c.noise_m)) + "_drop" +
+         std::to_string(static_cast<int>(c.dropout * 100)) + "_r" +
+         std::to_string(static_cast<int>(c.radius_m)) + "_k" +
+         std::to_string(c.max_cands);
+}
+
+constexpr const char* kSweepGoldenPath =
+    RL4OASD_TEST_DATA_DIR "/golden_mapmatch_sweep.txt";
 
 /// Raw trajectories sampled under the case's noise and dropout pattern.
 std::vector<traj::RawTrajectory> SampleCase(const roadnet::RoadNetwork& net,
@@ -158,20 +181,34 @@ TEST_P(MapMatchEquiv, MatchBatchIsThreadCountInvariant) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, MapMatchEquiv,
-    ::testing::Values(EquivCase{3, 15.0, 0.0, 60.0, 6},
-                      EquivCase{3, 40.0, 0.15, 60.0, 6},
-                      EquivCase{11, 15.0, 0.3, 40.0, 2},
-                      EquivCase{11, 35.0, 0.0, 100.0, 8},
-                      EquivCase{19, 25.0, 0.1, 80.0, 4}),
-    [](const auto& info) {
-      return "seed" + std::to_string(info.param.seed) + "_noise" +
-             std::to_string(static_cast<int>(info.param.noise_m)) + "_drop" +
-             std::to_string(static_cast<int>(info.param.dropout * 100)) +
-             "_r" + std::to_string(static_cast<int>(info.param.radius_m)) +
-             "_k" + std::to_string(info.param.max_cands);
-    });
+INSTANTIATE_TEST_SUITE_P(Sweep, MapMatchEquiv, ::testing::ValuesIn(kSweep),
+                         [](const auto& info) { return CaseName(info.param); });
+
+// The sweep's matched trips, pinned in tests/data/golden_mapmatch_sweep.txt:
+// one line per trip, "<case> <id> <start_time> <edge> <edge> ...", or
+// "<case> <id> error <status code>" when nothing matched.
+TEST(MapMatchEquivGolden, SweepMatchesGoldenFile) {
+  std::ostringstream rendered;
+  char start[32];
+  for (const EquivCase& c : kSweep) {
+    const auto net = SmallGrid(c.seed);
+    const auto matcher = MakeMatcher(net, c);
+    for (const auto& raw : SampleCase(net, c, 8)) {
+      const auto matched = matcher.MatchReference(raw);
+      rendered << CaseName(c) << " " << raw.id;
+      if (!matched.ok()) {
+        rendered << " error " << static_cast<int>(matched.status().code())
+                 << "\n";
+        continue;
+      }
+      std::snprintf(start, sizeof(start), "%.17g", matched->start_time);
+      rendered << " " << start;
+      for (traj::EdgeId e : matched->edges) rendered << " " << e;
+      rendered << "\n";
+    }
+  }
+  ExpectMatchesGoldenFile(kSweepGoldenPath, rendered.str());
+}
 
 }  // namespace
 }  // namespace rl4oasd::mapmatch

@@ -16,10 +16,15 @@
 // core_rl4oasd_parallel_test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "golden_file.h"
 #include "nn/linear.h"
 #include "nn/lstm.h"
 
@@ -119,6 +124,68 @@ TEST(NnBpttTest, LstmBackwardSeqBitIdenticalToPerStep) {
       }
     }
   }
+}
+
+constexpr const char* kLstmGradientsPath =
+    RL4OASD_TEST_DATA_DIR "/golden_lstm_gradients.txt";
+
+/// FNV-1a 64 over the bit patterns of `n` floats.
+uint64_t HashFloats(const float* v, size_t n) {
+  uint64_t h = 14695981039346656037ULL;
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t bits;
+    std::memcpy(&bits, &v[i], sizeof(bits));
+    for (int b = 0; b < 4; ++b) {
+      h ^= (bits >> (8 * b)) & 0xFFu;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+/// One golden line: "<shape> <tensor> <rows>x<cols> <hash>".
+std::string GradientLine(const Shape& s, const std::string& what,
+                         size_t rows, size_t cols, const float* v) {
+  char line[160];
+  std::snprintf(line, sizeof(line), "i%zu_h%zu_t%zu %s %zux%zu %016" PRIx64,
+                s.input, s.hidden, s.steps, what.c_str(), rows, cols,
+                HashFloats(v, rows * cols));
+  return line;
+}
+
+// The parameter and input gradients of every shape, from zeroed buffers,
+// pinned bit for bit in tests/data/golden_lstm_gradients.txt.
+TEST(NnBpttTest, LstmGradientsMatchGoldenFile) {
+  std::string rendered;
+  for (const Shape& s : kShapes) {
+    Rng rng(101 + s.input + s.hidden + s.steps);
+    Lstm lstm("t", s.input, s.hidden, &rng);
+    ParameterRegistry reg;
+    lstm.RegisterParams(&reg);
+    const auto xs = RandomInputs(s.steps, s.input, &rng);
+    const auto caches = lstm.Forward(Pointers(xs));
+    std::vector<Vec> d_h(s.steps, Vec(s.hidden));
+    for (auto& row : d_h) {
+      for (auto& v : row) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+    }
+
+    reg.ZeroGrad();
+    std::vector<Vec> d_x_steps;
+    lstm.Backward(caches, d_h, &d_x_steps);
+    Matrix d_x(s.steps, s.input);
+    for (size_t t = 0; t < s.steps; ++t) {
+      std::copy(d_x_steps[t].begin(), d_x_steps[t].end(), d_x.Row(t));
+    }
+
+    for (const Parameter* p : reg.params()) {
+      rendered += GradientLine(s, p->name, p->grad.rows(), p->grad.cols(),
+                               p->grad.data()) +
+                  "\n";
+    }
+    rendered +=
+        GradientLine(s, "d_x", d_x.rows(), d_x.cols(), d_x.data()) + "\n";
+  }
+  testing::ExpectMatchesGoldenFile(kLstmGradientsPath, rendered);
 }
 
 TEST(NnBpttTest, LinearBackwardSeqBitIdenticalToPerStep) {
