@@ -1,10 +1,10 @@
 // Map-matching hot-path bench: the Table V "MapMatch" stage in isolation.
-// Times the seed-era reference kernel against the fast kernel over the same
-// sampled GPS workload (plus a gap-heavy variant), sweeps MatchBatch worker
-// counts, and measures streaming per-point cost. Every timed comparison
-// doubles as an equivalence check — any divergence between reference, fast,
-// and streaming output fails the bench with a nonzero exit, so the ctest
-// smoke registration guards the exactness contract too.
+// Times single-thread Match over a sampled GPS workload (plus a gap-heavy
+// variant), sweeps MatchBatch worker counts, and measures streaming
+// per-point cost. Every timed run doubles as an equivalence check — any
+// divergence of the batch or streaming output from Match fails the bench
+// with a nonzero exit, so the ctest smoke registration guards those
+// exactness contracts too.
 //
 // Flags:
 //   --tiny         small workload (seconds; registered with ctest)
@@ -59,8 +59,7 @@ struct StageResult {
   std::string workload;
   size_t trajs = 0;
   size_t points = 0;
-  double reference_s = 0.0;
-  double fast_s = 0.0;
+  double match_s = 0.0;
   double streaming_s = 0.0;
   std::vector<std::pair<int, double>> batch;  // (threads, seconds)
   bool equal = true;
@@ -73,29 +72,15 @@ StageResult RunWorkload(const mapmatch::HmmMapMatcher& matcher,
   r.trajs = w.raws.size();
   r.points = w.points;
 
-  // Reference kernel: the seed matcher's query shape (full cell square,
-  // hash-set dedup, every touched edge measured) over the shared cell grid,
-  // and its fresh hash-map Dijkstra per (layer, candidate).
-  std::vector<Result<traj::MapMatchedTrajectory>> ref;
-  ref.reserve(w.raws.size());
-  Stopwatch ref_sw;
-  for (const auto& raw : w.raws) ref.push_back(matcher.MatchReference(raw));
-  r.reference_s = ref_sw.ElapsedSeconds();
-
-  // Fast kernel, single thread, scratch reused across calls.
-  std::vector<Result<traj::MapMatchedTrajectory>> fast;
-  fast.reserve(w.raws.size());
+  // Match, single thread, scratch reused across calls.
+  std::vector<Result<traj::MapMatchedTrajectory>> matched;
+  matched.reserve(w.raws.size());
   mapmatch::HmmMapMatcher::Scratch scratch;
-  Stopwatch fast_sw;
-  for (const auto& raw : w.raws) fast.push_back(matcher.Match(raw, &scratch));
-  r.fast_s = fast_sw.ElapsedSeconds();
-  for (size_t i = 0; i < w.raws.size(); ++i) {
-    if (!SameResult(ref[i], fast[i])) {
-      std::fprintf(stderr, "MISMATCH fast vs reference: %s traj %zu\n",
-                   w.name.c_str(), i);
-      r.equal = false;
-    }
+  Stopwatch match_sw;
+  for (const auto& raw : w.raws) {
+    matched.push_back(matcher.Match(raw, &scratch));
   }
+  r.match_s = match_sw.ElapsedSeconds();
 
   // Batch sweep: 1, 2, 4, ... up to max_threads.
   for (int t = 1; t <= max_threads; t *= 2) {
@@ -103,9 +88,10 @@ StageResult RunWorkload(const mapmatch::HmmMapMatcher& matcher,
     auto batch = matcher.MatchBatch(w.raws, t);
     r.batch.emplace_back(t, sw.ElapsedSeconds());
     for (size_t i = 0; i < w.raws.size(); ++i) {
-      if (!SameResult(batch[i], fast[i])) {
-        std::fprintf(stderr, "MISMATCH batch(threads=%d) vs fast: %s traj %zu\n",
-                     t, w.name.c_str(), i);
+      if (!SameResult(batch[i], matched[i])) {
+        std::fprintf(stderr,
+                     "MISMATCH batch(threads=%d) vs Match: %s traj %zu\n", t,
+                     w.name.c_str(), i);
         r.equal = false;
       }
     }
@@ -123,8 +109,8 @@ StageResult RunWorkload(const mapmatch::HmmMapMatcher& matcher,
   }
   r.streaming_s = stream_sw.ElapsedSeconds();
   for (size_t i = 0; i < w.raws.size(); ++i) {
-    if (!SameResult(streamed[i], fast[i])) {
-      std::fprintf(stderr, "MISMATCH streaming vs fast: %s traj %zu\n",
+    if (!SameResult(streamed[i], matched[i])) {
+      std::fprintf(stderr, "MISMATCH streaming vs Match: %s traj %zu\n",
                    w.name.c_str(), i);
       r.equal = false;
     }
@@ -135,14 +121,11 @@ StageResult RunWorkload(const mapmatch::HmmMapMatcher& matcher,
 void PrintStage(const StageResult& r) {
   std::printf("--- workload %-10s (%zu trajs, %zu points) ---\n",
               r.workload.c_str(), r.trajs, r.points);
-  std::printf("%-28s %10.3f s  (%8.1f traj/s)\n", "reference (seed kernel)",
-              r.reference_s, r.trajs / r.reference_s);
-  std::printf("%-28s %10.3f s  (%8.1f traj/s)  speedup %.2fx\n",
-              "fast (1 thread)", r.fast_s, r.trajs / r.fast_s,
-              r.reference_s / r.fast_s);
+  std::printf("%-28s %10.3f s  (%8.1f traj/s)\n", "Match (1 thread)",
+              r.match_s, r.trajs / r.match_s);
   for (const auto& [threads, secs] : r.batch) {
-    std::printf("%-21s %2dT %10.3f s  (%8.1f traj/s)  speedup %.2fx\n",
-                "batch", threads, secs, r.trajs / secs, r.reference_s / secs);
+    std::printf("%-21s %2dT %10.3f s  (%8.1f traj/s)  vs Match %.2fx\n",
+                "batch", threads, secs, r.trajs / secs, r.match_s / secs);
   }
   std::printf("%-28s %10.3f s  (%8.2f us/point)\n", "streaming",
               r.streaming_s, 1e6 * r.streaming_s / r.points);
@@ -161,11 +144,10 @@ void WriteJson(const std::string& path, const std::vector<StageResult>& rows) {
     const StageResult& r = rows[i];
     std::fprintf(f,
                  "    {\"workload\": \"%s\", \"trajs\": %zu, \"points\": %zu, "
-                 "\"reference_s\": %.4f, \"fast_s\": %.4f, \"speedup\": %.2f, "
-                 "\"streaming_s\": %.4f, \"equal\": %s, \"batch\": [",
-                 r.workload.c_str(), r.trajs, r.points, r.reference_s,
-                 r.fast_s, r.reference_s / r.fast_s, r.streaming_s,
-                 r.equal ? "true" : "false");
+                 "\"match_s\": %.4f, \"streaming_s\": %.4f, \"equal\": %s, "
+                 "\"batch\": [",
+                 r.workload.c_str(), r.trajs, r.points, r.match_s,
+                 r.streaming_s, r.equal ? "true" : "false");
     for (size_t b = 0; b < r.batch.size(); ++b) {
       std::fprintf(f, "{\"threads\": %d, \"seconds\": %.4f}%s",
                    r.batch[b].first, r.batch[b].second,
@@ -182,7 +164,7 @@ void WriteJson(const std::string& path, const std::vector<StageResult>& rows) {
 
 int main(int argc, char** argv) {
   FlagSet flags("bench_mapmatch",
-                "Table V map-matching stage: reference vs fast kernel");
+                "Table V map-matching stage: Match, MatchBatch, streaming");
   flags.AddBool("tiny", false, "small workload for ctest");
   flags.AddString("json", "", "write machine-readable results to this path");
   flags.AddInt("threads", 8, "max worker count for the MatchBatch sweep");
@@ -200,7 +182,7 @@ int main(int argc, char** argv) {
   mapmatch::HmmMapMatcher matcher(&city.net);
 
   // "clean" is the Table V preprocessing workload (continuous GPS); "gappy"
-  // adds 20% fix dropout so segment restarts and gap policies are on the
+  // adds 20% fix dropout so segment restarts and gap bridging are on the
   // timed and checked path as well.
   std::vector<StageResult> rows;
   rows.push_back(RunWorkload(

@@ -178,7 +178,7 @@ double SeqVaeDetector::TrainStep(const std::vector<traj::EdgeId>& edges) {
   // ---- Reconstruction loss + gradient into decoder hiddens / out embeds.
   registry_.ZeroGrad();
   double loss = 0.0;
-  std::vector<nn::Vec> d_h(n, nn::Vec(H, 0.0f));
+  nn::Matrix d_h(n, H);
   const float inv_steps = 1.0f / static_cast<float>(n - 1);
   for (size_t i = 1; i < n; ++i) {
     const auto& succ = net_->NextEdges(edges[i - 1]);
@@ -204,8 +204,9 @@ double SeqVaeDetector::TrainStep(const std::vector<traj::EdgeId>& edges) {
           static_cast<float>(p - (static_cast<int>(s) == obs ? 1.0 : 0.0)) *
           inv_steps;
       const float* out_v = out_embed_.Lookup(static_cast<size_t>(succ[s]));
+      float* dh = d_h.Row(i);
       for (size_t d = 0; d < H; ++d) {
-        d_h[i][d] += g * out_v[d];
+        dh[d] += g * out_v[d];
         grad_row[d] = g * h[d];
       }
       out_embed_.AccumulateGrad(static_cast<size_t>(succ[s]),
@@ -214,16 +215,16 @@ double SeqVaeDetector::TrainStep(const std::vector<traj::EdgeId>& edges) {
   }
 
   // ---- Decoder backward.
-  std::vector<nn::Vec> d_dec_x;
-  decoder_.Backward(dec_caches, d_h, &d_dec_x);
+  nn::Matrix d_dec_x;
+  decoder_.BackwardSeq(dec_caches, d_h, &d_dec_x);
   for (size_t i = 1; i < n; ++i) {
     edge_embed_.AccumulateGrad(static_cast<size_t>(edges[i - 1]),
-                               d_dec_x[i].data());
+                               d_dec_x.Row(i));
   }
   // d zproj -> through tanh -> z_to_h0_ -> d z.
   nn::Vec d_zproj_pre(config_.embed_dim);
   for (size_t i = 0; i < d_zproj_pre.size(); ++i) {
-    d_zproj_pre[i] = d_dec_x[0][i] * (1.0f - zproj[i] * zproj[i]);
+    d_zproj_pre[i] = d_dec_x(0, i) * (1.0f - zproj[i] * zproj[i]);
   }
   nn::Vec d_z(L, 0.0f);
   z_to_h0_.Backward(z.data(), d_zproj_pre.data(), d_z.data());
@@ -257,13 +258,13 @@ double SeqVaeDetector::TrainStep(const std::vector<traj::EdgeId>& edges) {
   if (variational) {
     logvar_head_.Backward(h_enc.data(), d_logvar.data(), d_h_enc.data());
   }
-  std::vector<nn::Vec> d_h_encoder(n, nn::Vec(H, 0.0f));
-  d_h_encoder.back() = d_h_enc;
-  std::vector<nn::Vec> d_enc_x;
-  encoder_.Backward(enc_caches, d_h_encoder, &d_enc_x);
+  nn::Matrix d_h_encoder(n, H);
+  std::copy(d_h_enc.begin(), d_h_enc.end(), d_h_encoder.Row(n - 1));
+  nn::Matrix d_enc_x;
+  encoder_.BackwardSeq(enc_caches, d_h_encoder, &d_enc_x);
   for (size_t i = 0; i < n; ++i) {
     edge_embed_.AccumulateGrad(static_cast<size_t>(edges[i]),
-                               d_enc_x[i].data());
+                               d_enc_x.Row(i));
   }
 
   registry_.ClipGradNorm(config_.grad_clip);

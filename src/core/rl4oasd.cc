@@ -4,6 +4,7 @@
 #include <barrier>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -37,6 +38,35 @@ Rl4Oasd::Rl4Oasd(const roadnet::RoadNetwork* net, Rl4OasdConfig config)
   asd_ = std::make_unique<AsdNet>(config_.asd);
   detector_ = std::make_unique<OnlineDetector>(
       net_, &preprocessor_, rsr_.get(), asd_.get(), config_.detector);
+}
+
+std::optional<size_t> Rl4Oasd::ParameterCount(const Rl4OasdConfig& config,
+                                              size_t num_edges) {
+  // The (rows, cols) of every tensor the constructors allocate: RSRNet's
+  // tcf and nrf tables, LSTM Wx, Wh and b, and head W and b; ASDNet's label
+  // table and policy W and b, over RSRNet's z and the label embedding.
+  const RsrNetConfig& rsr = config.rsr;
+  const size_t label = config.asd.label_dim;
+  size_t four_h = 0, z = 0, state = 0;
+  if (__builtin_mul_overflow(rsr.hidden_dim, size_t{4}, &four_h) ||
+      __builtin_add_overflow(rsr.hidden_dim, rsr.nrf_dim, &z) ||
+      __builtin_add_overflow(z, label, &state)) {
+    return std::nullopt;
+  }
+  const std::pair<size_t, size_t> shapes[] = {
+      {num_edges, rsr.embed_dim}, {2, rsr.nrf_dim}, {four_h, rsr.embed_dim},
+      {four_h, rsr.hidden_dim},   {1, four_h},      {2, z},
+      {1, 2},                     {2, label},       {2, state},
+      {1, 2}};
+  size_t total = 0;
+  for (const auto& [rows, cols] : shapes) {
+    size_t floats = 0;
+    if (__builtin_mul_overflow(rows, cols, &floats) ||
+        __builtin_add_overflow(total, floats, &total)) {
+      return std::nullopt;
+    }
+  }
+  return total;
 }
 
 void Rl4Oasd::PretrainRsr(const traj::Dataset& train,

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -91,6 +92,13 @@ struct Rl4OasdConfig {
 class Rl4Oasd {
  public:
   Rl4Oasd(const roadnet::RoadNetwork* net, Rl4OasdConfig config);
+
+  /// Number of floats in the RSRNet and ASDNet parameters the constructor
+  /// allocates for `config` on a network of `num_edges` edges, or nullopt
+  /// when the count overflows size_t; a bundle reader checks it against its
+  /// payload before constructing the model.
+  static std::optional<size_t> ParameterCount(const Rl4OasdConfig& config,
+                                              size_t num_edges);
 
   /// Full training pipeline on a historical dataset: preprocessing,
   /// embedding pre-training, warm-start pre-training, joint training.

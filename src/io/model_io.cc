@@ -4,6 +4,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/strings.h"
@@ -311,6 +312,19 @@ Result<std::unique_ptr<core::Rl4Oasd>> ReadModelBundle(
         "bundle was trained on a network with " +
         std::to_string(config.rsr.num_edges) + " edges; this network has " +
         std::to_string(net->NumEdges()));
+  }
+  // The constructors allocate every weight before the tensor reader sees
+  // one, so refuse dimensions asking for more floats than the payload has
+  // left: a lying bundle could otherwise wrap a table size or exhaust memory.
+  const std::optional<size_t> num_params =
+      core::Rl4Oasd::ParameterCount(config, net->NumEdges());
+  if (!num_params || *num_params > r->remaining() / sizeof(float)) {
+    return Status::InvalidArgument(StrFormat(
+        "bundle config rsr.embed_dim = %zu, rsr.nrf_dim = %zu, "
+        "rsr.hidden_dim = %zu and asd.label_dim = %zu ask for more weights "
+        "than the %zu payload bytes left hold",
+        config.rsr.embed_dim, config.rsr.nrf_dim, config.rsr.hidden_dim,
+        config.asd.label_dim, r->remaining()));
   }
   auto model = std::make_unique<core::Rl4Oasd>(net, config);
 

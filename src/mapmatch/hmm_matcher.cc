@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "roadnet/geometry.h"
@@ -16,35 +14,6 @@ namespace rl4oasd::mapmatch {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-/// The seed-era bounded Dijkstra: a fresh hash map per search. Kept verbatim
-/// as the cost model MatchReference() preserves — the fast kernel's
-/// EdgeDijkstra must produce the same distances (both are exact bounded
-/// Dijkstras over identical relaxations, so per-path float sums agree
-/// bit-for-bit and the min over paths is order-independent).
-std::unordered_map<roadnet::EdgeId, double> BoundedEdgeDistances(
-    const roadnet::RoadNetwork& net, roadnet::EdgeId src, double max_dist_m) {
-  std::unordered_map<roadnet::EdgeId, double> dist;
-  using Entry = std::pair<double, roadnet::EdgeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
-  dist[src] = 0.0;
-  pq.push({0.0, src});
-  while (!pq.empty()) {
-    auto [d, e] = pq.top();
-    pq.pop();
-    auto it = dist.find(e);
-    if (it != dist.end() && d > it->second) continue;
-    for (roadnet::EdgeId next : net.NextEdges(e)) {
-      const double nd = d + net.edge(next).length_m;
-      if (nd > max_dist_m) continue;
-      auto [nit, inserted] = dist.try_emplace(next, nd);
-      if (!inserted && nit->second <= nd) continue;
-      nit->second = nd;
-      pq.push({nd, next});
-    }
-  }
-  return dist;
-}
 
 double LogEmission(double d, double sigma) {
   return -0.5 * (d / sigma) * (d / sigma);
@@ -66,22 +35,12 @@ uint32_t ArgmaxLayer(const internal::Lattice& lat, size_t t) {
 namespace internal {
 
 bool AppendLayer(const HmmMapMatcher& matcher, const traj::RawPoint& pt,
-                 size_t point_index, Kernel kernel, MatchScratch* scratch,
-                 Lattice* lat) {
+                 size_t point_index, MatchScratch* scratch, Lattice* lat) {
   const HmmConfig& cfg = matcher.config();
   const roadnet::RoadNetwork& net = *matcher.network();
 
-  if (kernel == Kernel::kFast) {
-    matcher.index().QueryInto(pt.pos, cfg.candidate_radius_m,
-                              cfg.max_candidates, &scratch->query,
-                              &scratch->qcands);
-  } else {
-    // The reference kernel also pays the seed query's cost model (full cell
-    // square, hash-set dedup, per-call allocations); the candidates are
-    // identical either way.
-    scratch->qcands = matcher.index().QueryReference(
-        pt.pos, cfg.candidate_radius_m, cfg.max_candidates);
-  }
+  matcher.index().QueryInto(pt.pos, cfg.candidate_radius_m, cfg.max_candidates,
+                            &scratch->query, &scratch->qcands);
   if (scratch->qcands.empty()) return false;
 
   Layer ly;
@@ -99,23 +58,16 @@ bool AppendLayer(const HmmMapMatcher& matcher, const traj::RawPoint& pt,
   int32_t* back = lat->back.data() + ly.first;
   const EdgeCandidate* cand = lat->cands.data() + ly.first;
 
-  if (lat->layers.empty()) {
-    ly.segment_start = true;
-    for (uint32_t c = 0; c < ly.count; ++c) {
-      score[c] = LogEmission(cand[c].distance_m, cfg.gps_sigma_m);
-    }
-    lat->layers.push_back(ly);
-    return true;
-  }
+  // score[] doubles as the running best transition score per candidate
+  // until emissions are added; the first layer has no transitions.
+  if (!lat->layers.empty()) {
+    const Layer& prev = lat->layers.back();
+    const double* score_prev = lat->score.data() + prev.first;
+    const EdgeCandidate* cand_prev = lat->cands.data() + prev.first;
+    const double gc = roadnet::ApproxDistanceMeters(prev.pos, ly.pos);
+    const double beta_m = 50.0 * cfg.transition_beta;
+    const double max_net = std::max(gc * cfg.max_network_detour, gc + 300.0);
 
-  const Layer& prev = lat->layers.back();
-  const double* score_prev = lat->score.data() + prev.first;
-  const EdgeCandidate* cand_prev = lat->cands.data() + prev.first;
-  const double gc = roadnet::ApproxDistanceMeters(prev.pos, ly.pos);
-  const double beta_m = 50.0 * cfg.transition_beta;
-  const double max_net = std::max(gc * cfg.max_network_detour, gc + 300.0);
-
-  if (kernel == Kernel::kFast) {
     // Transition distances come from the precomputed table when the layer's
     // detour bound fits under it (the common case: consecutive fixes),
     // otherwise from one reusable bounded Dijkstra per previous candidate,
@@ -123,8 +75,6 @@ bool AppendLayer(const HmmMapMatcher& matcher, const traj::RawPoint& pt,
     // sources yield the same distances: a table entry is a settled
     // EdgeDijkstra distance, a table miss or an entry beyond max_net means
     // a live search bounded by max_net would not reach the edge either.
-    // score[] doubles as the running best transition score per candidate
-    // until emissions are added.
     const roadnet::EdgeDistanceTable& table = matcher.transition_table();
     const bool use_table = table.built() && max_net <= table.bound_m();
     if (!use_table) {
@@ -148,53 +98,22 @@ bool AppendLayer(const HmmMapMatcher& matcher, const traj::RawPoint& pt,
       if (score_prev[p] <= min_best) continue;
       if (!use_table) scratch->dijkstra.Run(cand_prev[p].edge, max_net);
       for (uint32_t c = 0; c < ly.count; ++c) {
-        const double d = use_table
-                             ? table.DistanceTo(cand_prev[p].edge, cand[c].edge)
-                             : scratch->dijkstra.DistanceTo(cand[c].edge);
+        const double d =
+            use_table ? table.DistanceTo(cand_prev[p].edge, cand[c].edge)
+                      : scratch->dijkstra.DistanceTo(cand[c].edge);
         if (d < 0.0 || d > max_net) continue;
         const double s = score_prev[p] - std::abs(gc - d) / beta_m;
-        // Strict >: ties keep the lowest p, matching the reference kernel's
-        // first-max over ascending p.
+        // Strict >: ties keep the lowest p, the first maximum over ascending
+        // p, as the segment-end argmax does.
         if (s > score[c]) {
           score[c] = s;
           back[c] = static_cast<int32_t>(p);
         }
       }
     }
-  } else {
-    // Reference kernel: the seed's per-(layer, candidate) fresh-map searches
-    // and candidate-outer loop order, preserved as the equivalence oracle.
-    std::vector<std::unordered_map<roadnet::EdgeId, double>> netdist(
-        prev.count);
-    for (uint32_t p = 0; p < prev.count; ++p) {
-      netdist[p] = BoundedEdgeDistances(net, cand_prev[p].edge, max_net);
-    }
-    for (uint32_t c = 0; c < ly.count; ++c) {
-      double best = kNegInf;
-      int32_t best_p = -1;
-      for (uint32_t p = 0; p < prev.count; ++p) {
-        if (score_prev[p] == kNegInf) continue;
-        auto it = netdist[p].find(cand[c].edge);
-        if (it == netdist[p].end()) continue;
-        const double s = score_prev[p] - std::abs(gc - it->second) / beta_m;
-        if (s > best) {
-          best = s;
-          best_p = static_cast<int32_t>(p);
-        }
-      }
-      score[c] = best;
-      back[c] = best_p;
-    }
   }
 
-  bool any = false;
-  for (uint32_t c = 0; c < ly.count; ++c) {
-    if (back[c] >= 0) {
-      any = true;
-      break;
-    }
-  }
-  if (any) {
+  if (std::any_of(back, back + ly.count, [](int32_t b) { return b >= 0; })) {
     for (uint32_t c = 0; c < ly.count; ++c) {
       if (back[c] >= 0) {
         score[c] += LogEmission(cand[c].distance_m, cfg.gps_sigma_m);
@@ -203,9 +122,10 @@ bool AppendLayer(const HmmMapMatcher& matcher, const traj::RawPoint& pt,
       }
     }
   } else {
-    // GPS gap: no current candidate is network-reachable from the previous
-    // layer within the detour bound. Start a new Viterbi segment from
-    // emission-only scores; the gap policy decides bridging at decode time.
+    // The first layer, or a GPS gap: no current candidate is network-
+    // reachable from the previous layer within the detour bound. Start a
+    // new Viterbi segment from emission-only scores; Decode bridges a gap
+    // when a path exists.
     ly.segment_start = true;
     for (uint32_t c = 0; c < ly.count; ++c) {
       score[c] = LogEmission(cand[c].distance_m, cfg.gps_sigma_m);
@@ -222,7 +142,6 @@ Result<DecodedPieces> Decode(const HmmMapMatcher& matcher, const Lattice& lat,
     return Status::NotFound("no candidate segments near any GPS fix");
   }
   const roadnet::RoadNetwork& net = *matcher.network();
-  const GapPolicy policy = matcher.config().gap_policy;
   const size_t num_layers = lat.layers.size();
 
   // Backtrack. Segment boundaries are explicit (Layer::segment_start), so a
@@ -242,8 +161,7 @@ Result<DecodedPieces> Decode(const HmmMapMatcher& matcher, const Lattice& lat,
   }
 
   // Assemble pieces: collapse repeats, stitch non-adjacent consecutive edges
-  // with shortest paths, and split where the gap policy says so (or where a
-  // boundary bridge does not exist).
+  // with shortest paths, and split where a segment boundary has no bridge.
   DecodedPieces out;
   std::vector<size_t> piece_fixes;
   traj::MapMatchedTrajectory piece;
@@ -263,9 +181,6 @@ Result<DecodedPieces> Decode(const HmmMapMatcher& matcher, const Lattice& lat,
     const Layer& ly = lat.layers[t];
     const roadnet::EdgeId e = lat.cands[ly.first + chosen[t]].edge;
     const bool boundary = t > 0 && ly.segment_start;
-    if (boundary && policy == GapPolicy::kSplit) {
-      RL4_RETURN_NOT_OK(flush());
-    }
     if (!piece.edges.empty()) {
       if (piece.edges.back() == e) {
         ++fixes;
@@ -315,54 +230,37 @@ HmmMapMatcher::HmmMapMatcher(const roadnet::RoadNetwork* net, HmmConfig config)
   }
 }
 
-Result<traj::MapMatchedTrajectory> HmmMapMatcher::MatchImpl(
-    const traj::RawTrajectory& raw, internal::Kernel kernel,
-    Scratch* scratch) const {
+Result<internal::DecodedPieces> HmmMapMatcher::MatchPieces(
+    const traj::RawTrajectory& raw, Scratch* scratch) const {
   if (raw.points.empty()) {
     return Status::InvalidArgument("empty raw trajectory");
   }
   internal::Lattice& lat = scratch->lattice;
   lat.Clear();
   for (size_t i = 0; i < raw.points.size(); ++i) {
-    internal::AppendLayer(*this, raw.points[i], i, kernel, scratch, &lat);
+    internal::AppendLayer(*this, raw.points[i], i, scratch, &lat);
   }
-  RL4_ASSIGN_OR_RETURN(internal::DecodedPieces decoded,
-                       internal::Decode(*this, lat, raw.id));
-  return std::move(decoded.pieces[decoded.best]);
+  return internal::Decode(*this, lat, raw.id);
 }
 
 Result<traj::MapMatchedTrajectory> HmmMapMatcher::Match(
     const traj::RawTrajectory& raw) const {
   Scratch scratch;
-  return MatchImpl(raw, internal::Kernel::kFast, &scratch);
+  return Match(raw, &scratch);
 }
 
 Result<traj::MapMatchedTrajectory> HmmMapMatcher::Match(
     const traj::RawTrajectory& raw, Scratch* scratch) const {
-  return MatchImpl(raw, internal::Kernel::kFast, scratch);
-}
-
-Result<traj::MapMatchedTrajectory> HmmMapMatcher::MatchReference(
-    const traj::RawTrajectory& raw) const {
-  Scratch scratch;
-  return MatchImpl(raw, internal::Kernel::kReference, &scratch);
+  RL4_ASSIGN_OR_RETURN(internal::DecodedPieces decoded,
+                       MatchPieces(raw, scratch));
+  return std::move(decoded.pieces[decoded.best]);
 }
 
 Result<std::vector<traj::MapMatchedTrajectory>> HmmMapMatcher::MatchSegments(
     const traj::RawTrajectory& raw, Scratch* scratch) const {
   Scratch local;
-  if (scratch == nullptr) scratch = &local;
-  if (raw.points.empty()) {
-    return Status::InvalidArgument("empty raw trajectory");
-  }
-  internal::Lattice& lat = scratch->lattice;
-  lat.Clear();
-  for (size_t i = 0; i < raw.points.size(); ++i) {
-    internal::AppendLayer(*this, raw.points[i], i, internal::Kernel::kFast,
-                          scratch, &lat);
-  }
   RL4_ASSIGN_OR_RETURN(internal::DecodedPieces decoded,
-                       internal::Decode(*this, lat, raw.id));
+                       MatchPieces(raw, scratch != nullptr ? scratch : &local));
   return std::move(decoded.pieces);
 }
 
@@ -381,7 +279,7 @@ std::vector<Result<traj::MapMatchedTrajectory>> HmmMapMatcher::MatchBatch(
   if (num_workers <= 1) {
     Scratch scratch;
     for (size_t i = 0; i < n; ++i) {
-      out[i] = MatchImpl(raws[i], internal::Kernel::kFast, &scratch);
+      out[i] = Match(raws[i], &scratch);
     }
     return out;
   }
@@ -394,7 +292,7 @@ std::vector<Result<traj::MapMatchedTrajectory>> HmmMapMatcher::MatchBatch(
     workers.emplace_back([this, &raws, &out, n, num_workers, w] {
       Scratch scratch;
       for (size_t i = w; i < n; i += num_workers) {
-        out[i] = MatchImpl(raws[i], internal::Kernel::kFast, &scratch);
+        out[i] = Match(raws[i], &scratch);
       }
     });
   }

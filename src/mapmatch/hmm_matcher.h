@@ -19,19 +19,16 @@
 //     produce — and a segment's final layer contributes its
 //     highest-scoring candidate (ties: lowest candidate index in the
 //     (distance, edge id) candidate order).
-//   * Across a segment boundary, `GapPolicy::kBridge` (default) stitches
-//     with an unbounded shortest path when one exists and otherwise splits
-//     the output; `GapPolicy::kSplit` always splits. Match() returns the
-//     piece spanning the most matched fixes (ties: earliest); use
-//     MatchSegments() for all pieces. A whole-trajectory failure now
-//     requires an empty candidate lattice, not merely one unbridgeable gap.
+//   * Across a segment boundary, the output is stitched with an unbounded
+//     shortest path when one exists and split otherwise. Match() returns
+//     the piece spanning the most matched fixes (ties: earliest); use
+//     MatchSegments() for all pieces. A whole-trajectory failure requires
+//     an empty candidate lattice, not merely one unbridgeable gap.
 //
-// Two transition kernels produce identical output by contract: the fast
-// kernel (reusable epoch-stamped bounded Dijkstra with target early-
-// termination and exact dominance pruning) behind Match()/MatchBatch(), and
-// the seed-era reference kernel (one fresh hash-map Dijkstra per
-// (layer, candidate)) behind MatchReference(), kept as the equivalence
-// oracle for tests and benches.
+// Transition distances come from the precomputed edge-distance table, or
+// from a reusable bounded Dijkstra for layers whose detour bound exceeds
+// it. The goldens tests/data/golden_{mapmatch_sweep,matched_edges}.txt pin
+// the output.
 #pragma once
 
 #include <cstdint>
@@ -45,20 +42,12 @@
 
 namespace rl4oasd::mapmatch {
 
-/// What to do at a GPS gap (a lattice segment boundary) when assembling the
-/// output edge sequence.
-enum class GapPolicy : uint8_t {
-  kBridge = 0,  // stitch with a shortest path when one exists, else split
-  kSplit = 1,   // always split into independent pieces at the gap
-};
-
 struct HmmConfig {
   double gps_sigma_m = 15.0;       // emission noise scale
   double candidate_radius_m = 60;  // candidate search radius
   size_t max_candidates = 6;
   double transition_beta = 2.0;    // penalty scale for route-length mismatch
   double max_network_detour = 5.0; // bound on network/GC distance ratio
-  GapPolicy gap_policy = GapPolicy::kBridge;
   // Bound (meters) of the precomputed edge-distance table built at matcher
   // construction (FMM's UBODT). Layers whose detour bound fits under it
   // answer transitions by table lookup; wider layers fall back to the live
@@ -109,19 +98,16 @@ struct MatchScratch {
   Lattice lattice;
 };
 
-enum class Kernel : uint8_t { kFast = 0, kReference = 1 };
-
 /// Queries candidates for `pt` and appends one scored layer to `lat`.
 /// Returns false (lattice unchanged) when no candidate is in range.
 bool AppendLayer(const HmmMapMatcher& matcher, const traj::RawPoint& pt,
-                 size_t point_index, Kernel kernel, MatchScratch* scratch,
-                 Lattice* lat);
+                 size_t point_index, MatchScratch* scratch, Lattice* lat);
 
-/// Backtracks the lattice and assembles the output pieces under the
-/// matcher's gap policy. `best` indexes the piece with the most matched
-/// fixes (ties: earliest). Pure function of the lattice: calling it does
-/// not invalidate the lattice, so a streaming caller may decode mid-stream
-/// and keep feeding.
+/// Backtracks the lattice and assembles the output pieces, bridging each
+/// segment boundary when a path exists and splitting it otherwise. `best`
+/// indexes the piece with the most matched fixes (ties: earliest). Pure
+/// function of the lattice: calling it does not invalidate the lattice, so
+/// a streaming caller may decode mid-stream and keep feeding.
 struct DecodedPieces {
   std::vector<traj::MapMatchedTrajectory> pieces;
   size_t best = 0;
@@ -140,9 +126,9 @@ class HmmMapMatcher {
 
   explicit HmmMapMatcher(const roadnet::RoadNetwork* net, HmmConfig config = {});
 
-  /// Matches one raw trajectory with the fast kernel. Fails if no candidate
-  /// lattice can be built (e.g. all fixes are off-network). With multiple
-  /// gap-split pieces, returns the piece spanning the most matched fixes.
+  /// Matches one raw trajectory. Fails if no candidate lattice can be built
+  /// (e.g. all fixes are off-network). With multiple gap-split pieces,
+  /// returns the piece spanning the most matched fixes.
   Result<traj::MapMatchedTrajectory> Match(const traj::RawTrajectory& raw) const;
 
   /// Same, reusing the caller's scratch (allocation-free in steady state).
@@ -162,21 +148,15 @@ class HmmMapMatcher {
   std::vector<Result<traj::MapMatchedTrajectory>> MatchBatch(
       const std::vector<traj::RawTrajectory>& raws, int threads = 1) const;
 
-  /// The seed-era reference kernel (fresh hash-map bounded Dijkstra per
-  /// (layer, candidate)). Contract: output identical to Match() — this is
-  /// the oracle the equivalence suite and bench_mapmatch compare against.
-  Result<traj::MapMatchedTrajectory> MatchReference(
-      const traj::RawTrajectory& raw) const;
-
   const roadnet::RoadNetwork* network() const { return net_; }
   const HmmConfig& config() const { return config_; }
   const SpatialIndex& index() const { return index_; }
   const roadnet::EdgeDistanceTable& transition_table() const { return table_; }
 
  private:
-  Result<traj::MapMatchedTrajectory> MatchImpl(const traj::RawTrajectory& raw,
-                                               internal::Kernel kernel,
-                                               Scratch* scratch) const;
+  /// Builds the lattice of `raw` in `scratch` and decodes it.
+  Result<internal::DecodedPieces> MatchPieces(const traj::RawTrajectory& raw,
+                                              Scratch* scratch) const;
 
   const roadnet::RoadNetwork* net_;
   HmmConfig config_;

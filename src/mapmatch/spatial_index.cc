@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -34,8 +33,7 @@ constexpr auto kByDistanceThenEdge = [](const EdgeCandidate& a,
 }  // namespace
 
 SpatialIndex::SpatialIndex(const roadnet::RoadNetwork* net,
-                           double cell_size_m)
-    : net_(net) {
+                           double cell_size_m) {
   RL4_CHECK_GT(cell_size_m, 0.0);
   // One longitude scale serves the whole grid. Taken at the finite vertex
   // latitude farthest from the equator (clamped short of the poles), it is
@@ -249,42 +247,6 @@ void SpatialIndex::QueryInto(const roadnet::LatLon& p, double radius_m,
   // deterministic.
   std::sort(out->begin(), out->end(), kByDistanceThenEdge);
   if (out->size() > max_candidates) out->resize(max_candidates);
-}
-
-std::vector<EdgeCandidate> SpatialIndex::QueryReference(
-    const roadnet::LatLon& p, double radius_m, size_t max_candidates) const {
-  // The seed-era query shape: scan the full (2r+1)^2 cell square, dedup
-  // through a hash set, and take the exact distance of every edge touched.
-  // Only the final comparator departs from the seed (total order on
-  // (distance, edge id) instead of distance alone) so both kernels share
-  // one pinned tie order.
-  std::vector<EdgeCandidate> out;
-  if (!(radius_m >= 0.0) || !std::isfinite(p.lat) || !std::isfinite(p.lon)) {
-    return out;
-  }
-  const double r = std::ceil(radius_m / kMetersPerDegLat / cell_deg_lat_) + 1.0;
-  const double qx = std::floor(p.lon / cell_deg_lon_);
-  const double qy = std::floor(p.lat / cell_deg_lat_);
-  const double row_lo = std::max(qy - r, static_cast<double>(y0_));
-  const double row_hi = std::min(qy + r, static_cast<double>(y0_ + ny_ - 1));
-  if (!(row_lo <= row_hi)) return out;
-  std::unordered_set<roadnet::EdgeId> seen;
-  for (int row = static_cast<int>(row_lo); row <= static_cast<int>(row_hi);
-       ++row) {
-    const CellEntry* it;
-    const CellEntry* end;
-    RowSpan(row, qx - r, qx + r, &it, &end);
-    for (; it != end; ++it) {
-      if (!seen.insert(it->edge).second) continue;
-      const auto& edge = net_->edge(it->edge);
-      const double d = roadnet::PointToSegmentMeters(
-          p, net_->vertex(edge.from).pos, net_->vertex(edge.to).pos);
-      if (d <= radius_m) out.push_back({it->edge, d});
-    }
-  }
-  std::sort(out.begin(), out.end(), kByDistanceThenEdge);
-  if (out.size() > max_candidates) out.resize(max_candidates);
-  return out;
 }
 
 }  // namespace rl4oasd::mapmatch

@@ -59,17 +59,9 @@ class SpatialIndex {
                  size_t max_candidates, QueryScratch* scratch,
                  std::vector<EdgeCandidate>* out) const;
 
-  /// The seed-era query shape, kept as the reference kernel of the
-  /// equivalence suite and bench_mapmatch: full (2r+1)^2 cell square over
-  /// the same grid, hash-set dedup, the exact distance of every touched
-  /// edge, fresh allocations per call. Returns the same candidates as Query
-  /// — the only departure from the seed code is the final (distance, edge
-  /// id) sort, which pins the tie order both kernels share (the seed's
-  /// distance-only unstable sort left edge order at equal distance
-  /// unspecified).
-  std::vector<EdgeCandidate> QueryReference(const roadnet::LatLon& p,
-                                            double radius_m,
-                                            size_t max_candidates = 8) const;
+  /// The cell size in degrees; cell borders are its integer multiples.
+  double cell_deg_lat() const { return cell_deg_lat_; }
+  double cell_deg_lon() const { return cell_deg_lon_; }
 
  private:
   struct EdgeBox {
@@ -100,7 +92,6 @@ class SpatialIndex {
   void RowSpan(int row, double col_lo, double col_hi, const CellEntry** begin,
                const CellEntry** end) const;
 
-  const roadnet::RoadNetwork* net_;
   double cell_deg_lat_ = 0.0;
   double cell_deg_lon_ = 0.0;
   double meters_per_deg_lon_ = 0.0;

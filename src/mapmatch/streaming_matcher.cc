@@ -7,8 +7,7 @@ namespace rl4oasd::mapmatch {
 
 bool StreamingMatcher::MatchPoint(const traj::RawPoint& pt) {
   const size_t point_index = points_fed_++;
-  return internal::AppendLayer(*matcher_, pt, point_index,
-                               internal::Kernel::kFast, &scratch_,
+  return internal::AppendLayer(*matcher_, pt, point_index, &scratch_,
                                &scratch_.lattice);
 }
 

@@ -235,59 +235,6 @@ std::vector<LstmStepCache> Lstm::Forward(
   return caches;
 }
 
-void Lstm::Backward(const std::vector<LstmStepCache>& caches,
-                    const std::vector<Vec>& d_h, std::vector<Vec>* d_x) {
-  RL4_CHECK_EQ(caches.size(), d_h.size());
-  const size_t H = hidden_dim_;
-  const size_t T = caches.size();
-  if (d_x != nullptr) {
-    d_x->assign(T, Vec(input_dim_, 0.0f));
-  }
-  Vec dc_next(H, 0.0f);   // dL/dc flowing from step t+1
-  Vec dh_next(H, 0.0f);   // dL/dh flowing from step t+1 (recurrent path)
-  Vec d_gates(4 * H);     // pre-activation gate gradients
-  for (size_t t = T; t-- > 0;) {
-    const LstmStepCache& cache = caches[t];
-    const float* ig = cache.gates.data();
-    const float* fg = cache.gates.data() + H;
-    const float* gg = cache.gates.data() + 2 * H;
-    const float* og = cache.gates.data() + 3 * H;
-    for (size_t i = 0; i < H; ++i) {
-      const float dh = d_h[t][i] + dh_next[i];
-      const float dc = dh * og[i] * (1.0f - cache.tanh_c[i] * cache.tanh_c[i]) +
-                       dc_next[i];
-      const float di = dc * gg[i];
-      const float df = dc * cache.c_prev[i];
-      const float dg = dc * ig[i];
-      const float dout = dh * cache.tanh_c[i];
-      // Pre-activation gradients through sigmoid/tanh.
-      d_gates[i] = di * ig[i] * (1.0f - ig[i]);
-      d_gates[H + i] = df * fg[i] * (1.0f - fg[i]);
-      d_gates[2 * H + i] = dg * (1.0f - gg[i] * gg[i]);
-      d_gates[3 * H + i] = dout * og[i] * (1.0f - og[i]);
-      dc_next[i] = dc * fg[i];
-    }
-    // Parameter gradients.
-    OuterAccum(&wx_.grad, d_gates.data(), cache.x.data());
-    const float* h_prev =
-        (t == 0) ? nullptr : caches[t - 1].h.data();
-    if (h_prev != nullptr) {
-      OuterAccum(&wh_.grad, d_gates.data(), h_prev);
-    }
-    float* db = b_.grad.Row(0);
-    for (size_t i = 0; i < 4 * H; ++i) db[i] += d_gates[i];
-    // Input gradient.
-    if (d_x != nullptr) {
-      MatTransVecAccum(wx_.value, d_gates.data(), (*d_x)[t].data());
-    }
-    // Recurrent hidden gradient for step t-1.
-    std::fill(dh_next.begin(), dh_next.end(), 0.0f);
-    if (t > 0) {
-      MatTransVecAccum(wh_.value, d_gates.data(), dh_next.data());
-    }
-  }
-}
-
 void Lstm::BackwardSeq(const std::vector<LstmStepCache>& caches,
                        const Matrix& d_h, Matrix* d_x, GradientSink* sink) {
   const size_t H = hidden_dim_;
@@ -310,13 +257,10 @@ void Lstm::BackwardSeq(const std::vector<LstmStepCache>& caches,
 
   // Timestep-packed gradient matrices. dg holds the pre-activation gate
   // gradients twice: column j = T-1-t of the (4H x T) layout drives the
-  // weight-gradient GEMMs — ascending k there replays the per-step
-  // backward's descending-t accumulation order, so (from zeroed gradient
-  // buffers) every weight-gradient element is the exact same product
-  // chain — and row t of the (T x 4H) layout drives the input-gradient
-  // GEMM, whose ascending-k chain is MatTransVecAccum's ascending-row
-  // order. Thread-local scratch: fully rewritten, steady state allocates
-  // nothing.
+  // weight-gradient GEMMs, whose ascending k accumulates every element in
+  // descending t, the order of a per-step BPTT; row t of the (T x 4H)
+  // layout drives the input-gradient GEMM. Thread-local scratch: fully
+  // rewritten, steady state allocates nothing.
   static thread_local Matrix dg;       // 4H x T, column j <-> t = T-1-j
   static thread_local Matrix dg_t;     // T x 4H, row t
   static thread_local Matrix x_rev;    // T x I, row j <-> x at t = T-1-j
@@ -327,8 +271,8 @@ void Lstm::BackwardSeq(const std::vector<LstmStepCache>& caches,
   if (T > 1) h_prev_rev.EnsureShape(T - 1, H);
 
   // The gate-gradient recursion is inherently sequential (dh/dc of step t
-  // feed step t-1) and runs exactly the per-step code; only the parameter
-  // and input gradients are deferred to the GEMMs below.
+  // feed step t-1) and runs step by step; only the parameter and input
+  // gradients are deferred to the GEMMs below.
   Vec dc_next(H, 0.0f);
   Vec dh_next(H, 0.0f);
   for (size_t t = T; t-- > 0;) {

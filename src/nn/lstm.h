@@ -1,7 +1,7 @@
 // LSTM (Hochreiter & Schmidhuber) with full backpropagation through time.
 // Two usage modes:
 //   * Sequence mode (training): Lstm::Forward stores per-step caches so
-//     Lstm::Backward can run BPTT over the whole trajectory.
+//     Lstm::BackwardSeq can run BPTT over the whole trajectory.
 //   * Streaming mode (online detection): LstmState carries (h, c) across
 //     incoming road segments; StepForward advances one segment in O(H^2),
 //     and StepRows advances B independent streams at once.
@@ -102,8 +102,8 @@ class Lstm {
   /// Wh^T: H x 4H) from the parameters. Runs at construction; call it again
   /// after every write to the registered parameters (an optimizer step, a
   /// checkpoint load), or the streaming steps keep the old weights. The
-  /// training paths (Forward, the backward passes) read the parameters
-  /// directly and never need it.
+  /// training paths (Forward, BackwardSeq) read the parameters directly
+  /// and never need it.
   void Repack();
 
   /// Sequence forward from the zero state. Returns per-step caches (the
@@ -115,23 +115,16 @@ class Lstm {
   std::vector<LstmStepCache> Forward(
       const std::vector<const float*>& inputs) const;
 
-  /// Per-step reference BPTT. `d_h` holds the gradient flowing into each
-  /// step's hidden output (same length as caches). Parameter gradients are
-  /// accumulated; if `d_x` is non-null it receives per-step input gradients
-  /// (resized internally). Kept as the plainly-auditable reference that
-  /// BackwardSeq is tested against — production training uses BackwardSeq.
-  void Backward(const std::vector<LstmStepCache>& caches,
-                const std::vector<Vec>& d_h, std::vector<Vec>* d_x);
-
-  /// GEMM-backed BPTT. `d_h` is (T x H) with row t the gradient into step
-  /// t's hidden output; `d_x` (optional) is resized to (T x input_dim).
-  /// The per-step gate-gradient recursion stays sequential, but the weight
-  /// gradients become two GEMMs over timestep-packed matrices (reversed-
-  /// time columns, so each product chain replays the per-step accumulation
-  /// order) and the input gradients one more. Starting from zeroed
-  /// gradient buffers this is bit-identical to Backward; `sink` (optional)
-  /// redirects every parameter gradient into worker-local buffers, which
-  /// makes concurrent calls on one Lstm safe (weights are only read).
+  /// BPTT over Forward's caches. `d_h` is (T x H), row t the gradient into
+  /// step t's hidden output; parameter gradients are accumulated, and `d_x`
+  /// (optional) is resized to (T x input_dim) for the input gradients. The
+  /// gate-gradient recursion runs step by step; the weight gradients are
+  /// two GEMMs over reversed-time packed matrices (each element accumulates
+  /// in descending t) and the input gradients one more. tests/data/
+  /// golden_lstm_gradients.txt pins the result from zeroed buffers. `sink`
+  /// (optional) redirects every parameter gradient into worker-local
+  /// buffers, which makes concurrent calls on one Lstm safe (weights are
+  /// only read).
   void BackwardSeq(const std::vector<LstmStepCache>& caches,
                    const Matrix& d_h, Matrix* d_x,
                    GradientSink* sink = nullptr);

@@ -649,12 +649,18 @@ TEST_F(ModelBundleTest, EmbeddingConfigBelowTheTrainersMinimumsIsRejected) {
 
 TEST_F(ModelBundleTest, BundleWithOutOfRangeConfigValueLoadsToError) {
   // Whole-bundle level: a CRC-valid bundle with one patched config value
-  // loads to an InvalidArgument, never an abort.
+  // loads to an InvalidArgument, never an abort. The model dimensions are
+  // bounded by the weights the payload holds, before the constructors
+  // allocate any: rsr.embed_dim = 2^62 wraps the tcf table's size (a
+  // crash), and rsr.hidden_dim = 1e6 or 2^33 asks for terabytes.
   auto net = testing::SmallGrid();
   core::Rl4Oasd model(&net, TinyConfig());  // untrained is enough
   for (const auto& [key, value] :
        {std::pair<std::string, double>{"preprocess.time_slot_hours", 0.0},
-        {"rsr.hidden_dim", -1.0}}) {
+        {"rsr.hidden_dim", -1.0},
+        {"rsr.embed_dim", std::ldexp(1.0, 62)},
+        {"rsr.hidden_dim", 1e6},
+        {"rsr.hidden_dim", std::ldexp(1.0, 33)}}) {
     const std::string path = Path("model.rlmb");
     ASSERT_TRUE(io::SaveModel(model, path).ok());
     ASSERT_NO_FATAL_FAILURE(PatchConfigValue(path, key, value));
@@ -665,6 +671,21 @@ TEST_F(ModelBundleTest, BundleWithOutOfRangeConfigValueLoadsToError) {
     EXPECT_NE(loaded.status().ToString().find(key), std::string::npos)
         << loaded.status().ToString();
   }
+}
+
+TEST_F(ModelBundleTest, ParameterCountMatchesTheRegistries) {
+  // The loader's allocation bound counts what the constructors allocate.
+  auto net = testing::SmallGrid();
+  for (const core::Rl4OasdConfig& cfg :
+       {TinyConfig(), core::Rl4OasdConfig{}}) {
+    core::Rl4Oasd model(&net, cfg);
+    EXPECT_EQ(core::Rl4Oasd::ParameterCount(cfg, net.NumEdges()),
+              model.mutable_rsrnet()->registry()->NumWeights() +
+                  model.mutable_asdnet()->registry()->NumWeights());
+  }
+  core::Rl4OasdConfig wide;
+  wide.rsr.hidden_dim = size_t{1} << 33;  // 4H x H wraps size_t
+  EXPECT_FALSE(core::Rl4Oasd::ParameterCount(wide, 1).has_value());
 }
 
 TEST_F(ModelBundleTest, RetiredRecurrentCoreKeysAreRefused) {

@@ -1,9 +1,12 @@
 // The map-matching exactness contracts, enforced over randomized cities,
 // noise levels, gap patterns, and matcher configs:
-//   1. Fast kernel == reference kernel: Match() (reusable Dijkstra, early
-//      termination, dominance pruning) returns byte-identical results to
-//      MatchReference() (the seed-era per-(layer, candidate) fresh-map
-//      kernel).
+//   1. Golden output: Match() on every trip of the sweep equals
+//      tests/data/golden_mapmatch_sweep.txt, which the seed-era reference
+//      kernel (a fresh hash-map Dijkstra per (layer, candidate) and the
+//      seed's query shape) wrote before it was deleted. Over its 2,303
+//      lattice layers the sweep restarts 12 segments and takes 117 layers
+//      through the live-Dijkstra fallback, at radii 40-100 m and candidate
+//      caps 2-8.
 //   2. Streaming == batch: feeding fixes one at a time and calling Finish()
 //      is bit-identical to batch Match() — including mid-stream decodes
 //      against the matching prefix trajectory.
@@ -104,24 +107,6 @@ void ExpectSameResult(const Result<traj::MapMatchedTrajectory>& a,
 
 class MapMatchEquiv : public ::testing::TestWithParam<EquivCase> {};
 
-TEST_P(MapMatchEquiv, FastKernelMatchesReferenceKernel) {
-  const EquivCase c = GetParam();
-  const auto net = SmallGrid(c.seed);
-  const auto matcher = MakeMatcher(net, c);
-  const auto raws = SampleCase(net, c, 8);
-  ASSERT_FALSE(raws.empty());
-  HmmMapMatcher::Scratch scratch;
-  int ok_count = 0;
-  for (const auto& raw : raws) {
-    auto fast = matcher.Match(raw, &scratch);
-    auto ref = matcher.MatchReference(raw);
-    ExpectSameResult(fast, ref);
-    ok_count += fast.ok() ? 1 : 0;
-  }
-  // The sweep must actually exercise successful matches, not just errors.
-  EXPECT_GT(ok_count, 0);
-}
-
 TEST_P(MapMatchEquiv, StreamingFinishBitIdenticalToBatch) {
   const EquivCase c = GetParam();
   const auto net = SmallGrid(c.seed);
@@ -193,8 +178,9 @@ TEST(MapMatchEquivGolden, SweepMatchesGoldenFile) {
   for (const EquivCase& c : kSweep) {
     const auto net = SmallGrid(c.seed);
     const auto matcher = MakeMatcher(net, c);
+    HmmMapMatcher::Scratch scratch;
     for (const auto& raw : SampleCase(net, c, 8)) {
-      const auto matched = matcher.MatchReference(raw);
+      const auto matched = matcher.Match(raw, &scratch);
       rendered << CaseName(c) << " " << raw.id;
       if (!matched.ok()) {
         rendered << " error " << static_cast<int>(matched.status().code())

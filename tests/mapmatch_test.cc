@@ -150,9 +150,9 @@ TEST(HmmMatcherTest, StartTimeFromFirstMatchedFix) {
   EXPECT_DOUBLE_EQ(matched->start_time, 100.0);
 }
 
-// Checks Query (uncapped and capped) and QueryReference of an index with
-// `cell_m` cells against a brute force scan over every edge, in the pinned
-// (distance, edge id) order, for every probe at several radii.
+// Checks Query (uncapped and capped) of an index with `cell_m` cells against
+// a brute force scan over every edge, in the pinned (distance, edge id)
+// order, for every probe at several radii.
 void ExpectMatchesBruteForce(const roadnet::RoadNetwork& net, double cell_m,
                              const std::vector<roadnet::LatLon>& probes) {
   const SpatialIndex index(&net, cell_m);
@@ -175,15 +175,11 @@ void ExpectMatchesBruteForce(const roadnet::RoadNetwork& net, double cell_m,
       const auto where = ::testing::Message()
                          << "cell " << cell_m << " m, radius " << radius
                          << ", probe (" << p.lat << ", " << p.lon << ")";
-      // The seed-era reference query returns the identical sequence.
-      const auto fast = index.Query(p, radius, net.NumEdges());
-      const auto ref = index.QueryReference(p, radius, net.NumEdges());
-      for (const auto* got : {&fast, &ref}) {
-        ASSERT_EQ(got->size(), expected.size()) << where;
-        for (size_t i = 0; i < got->size(); ++i) {
-          EXPECT_EQ((*got)[i].edge, expected[i].edge) << where;
-          EXPECT_EQ((*got)[i].distance_m, expected[i].distance_m) << where;
-        }
+      const auto got = index.Query(p, radius, net.NumEdges());
+      ASSERT_EQ(got.size(), expected.size()) << where;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].edge, expected[i].edge) << where;
+        EXPECT_EQ(got[i].distance_m, expected[i].distance_m) << where;
       }
       // The cap keeps the prefix of the same order.
       const auto capped = index.Query(p, radius, 3);
@@ -213,14 +209,21 @@ TEST(SpatialIndexTest, QueryMatchesBruteForceExactly) {
     max_lon = std::max(max_lon, pos.lon);
   }
   constexpr double kMetersPerDegLat = 111320.0;
-  // The index fixes its longitude scale at the first vertex's latitude.
+  // The index takes its longitude scale at the vertex latitude farthest
+  // from the equator.
+  const double ref_lat = std::max(std::abs(min_lat), std::abs(max_lat));
   const double meters_per_deg_lon =
-      kMetersPerDegLat *
-      std::cos(net.vertex(0).pos.lat * 3.14159265358979 / 180.0);
+      kMetersPerDegLat * std::cos(ref_lat * 3.14159265358979 / 180.0);
 
   for (const double cell_m : {60.0, 250.0, 1000.0}) {
     const double cell_lat = cell_m / kMetersPerDegLat;
     const double cell_lon = cell_m / meters_per_deg_lon;
+    // Every border probe must sit on one of the index's own cell borders,
+    // so a change to how the index sizes its cells cannot detach them.
+    const SpatialIndex index(&net, cell_m);
+    const auto near_index_border = [](double x, double cell) {
+      return std::abs(x - std::round(x / cell) * cell) <= 1e-6 + 1e-12;
+    };
     Rng rng(static_cast<uint64_t>(cell_m));
     std::vector<roadnet::LatLon> probes;
     for (roadnet::EdgeId e = 0;
@@ -235,8 +238,14 @@ TEST(SpatialIndexTest, QueryMatchesBruteForceExactly) {
         const double jitter = i % 3 == 0 ? 0.0 : rng.Uniform(-1e-6, 1e-6);
         return std::round(x / cell) * cell + jitter;
       };
-      if (i % 4 != 1) p.lat = on_border(p.lat, cell_lat);
-      if (i % 4 != 0) p.lon = on_border(p.lon, cell_lon);
+      if (i % 4 != 1) {
+        p.lat = on_border(p.lat, cell_lat);
+        EXPECT_TRUE(near_index_border(p.lat, index.cell_deg_lat())) << p.lat;
+      }
+      if (i % 4 != 0) {
+        p.lon = on_border(p.lon, cell_lon);
+        EXPECT_TRUE(near_index_border(p.lon, index.cell_deg_lon())) << p.lon;
+      }
       probes.push_back(p);
     }
     // Outside the rectangle: up to 500 m past one side (the largest radius
@@ -333,7 +342,6 @@ TEST(SpatialIndexTest, NonFiniteAndFarFixesHaveNoCandidates) {
   HmmMapMatcher matcher(&net);
   for (const auto& p : UnmatchableFixes(net.EdgeMidpoint(10))) {
     EXPECT_TRUE(matcher.index().Query(p, 60.0).empty());
-    EXPECT_TRUE(matcher.index().QueryReference(p, 60.0).empty());
     StreamingMatcher stream(&matcher);
     stream.Reset(1);
     EXPECT_FALSE(stream.MatchPoint({p, 0.0}));
@@ -422,28 +430,22 @@ TEST(GapHandlingTest, UnbridgeableGapDegradesToLargestPiece) {
 
 TEST(GapHandlingTest, MatchSegmentsReturnsAllPiecesInTimeOrder) {
   const auto net = MakeTwoIslands();
-  for (GapPolicy policy : {GapPolicy::kBridge, GapPolicy::kSplit}) {
-    HmmConfig cfg;
-    cfg.gap_policy = policy;
-    HmmMapMatcher matcher(&net, cfg);
-    const auto raw = TwoIslandsRaw(net);
-    auto pieces = matcher.MatchSegments(raw);
-    ASSERT_TRUE(pieces.ok()) << pieces.status().ToString();
-    ASSERT_EQ(pieces->size(), 2u);
-    EXPECT_EQ((*pieces)[0].edges, (std::vector<traj::EdgeId>{0, 1}));
-    EXPECT_DOUBLE_EQ((*pieces)[0].start_time, 0.0);
-    EXPECT_EQ((*pieces)[1].edges, (std::vector<traj::EdgeId>{2, 3}));
-    EXPECT_DOUBLE_EQ((*pieces)[1].start_time, 50.0);
-  }
+  HmmMapMatcher matcher(&net);
+  const auto raw = TwoIslandsRaw(net);
+  auto pieces = matcher.MatchSegments(raw);
+  ASSERT_TRUE(pieces.ok()) << pieces.status().ToString();
+  ASSERT_EQ(pieces->size(), 2u);
+  EXPECT_EQ((*pieces)[0].edges, (std::vector<traj::EdgeId>{0, 1}));
+  EXPECT_DOUBLE_EQ((*pieces)[0].start_time, 0.0);
+  EXPECT_EQ((*pieces)[1].edges, (std::vector<traj::EdgeId>{2, 3}));
+  EXPECT_DOUBLE_EQ((*pieces)[1].start_time, 50.0);
 }
 
-// Pinned restart semantics (segmented Viterbi): under kSplit, matching a
-// gapped trajectory piecewise equals matching each side independently.
+// Pinned restart semantics (segmented Viterbi): where a gap has no bridge,
+// matching the trajectory piecewise equals matching each side independently.
 TEST(GapHandlingTest, SplitPiecesEqualIndependentMatches) {
   const auto net = MakeTwoIslands();
-  HmmConfig cfg;
-  cfg.gap_policy = GapPolicy::kSplit;
-  HmmMapMatcher matcher(&net, cfg);
+  HmmMapMatcher matcher(&net);
   const auto raw = TwoIslandsRaw(net);
   auto pieces = matcher.MatchSegments(raw);
   ASSERT_TRUE(pieces.ok());
@@ -465,8 +467,7 @@ TEST(GapHandlingTest, SplitPiecesEqualIndependentMatches) {
 // A divided one-way loop: two parallel carriageways ~89 m apart joined at
 // the ends. Hopping from the eastbound to the westbound side is a GPS gap
 // (network distance ~665 m exceeds the detour bound ~445 m) but a
-// connecting path exists, so kBridge stitches one connected route while
-// kSplit splits.
+// connecting path exists, so the matcher stitches one connected route.
 roadnet::RoadNetwork MakeDividedLoop() {
   roadnet::RoadNetwork net;
   const auto p0 = net.AddVertex({30.0, 104.000});
@@ -485,7 +486,7 @@ roadnet::RoadNetwork MakeDividedLoop() {
   return net;
 }
 
-TEST(GapHandlingTest, BridgeableGapStitchesUnderBridgePolicy) {
+TEST(GapHandlingTest, BridgeableGapIsStitched) {
   const auto net = MakeDividedLoop();
   traj::RawTrajectory raw;
   raw.id = 9;
@@ -493,25 +494,15 @@ TEST(GapHandlingTest, BridgeableGapStitchesUnderBridgePolicy) {
   raw.points.push_back({net.EdgeMidpoint(0), 2.0});
   raw.points.push_back({net.EdgeMidpoint(4), 10.0});
 
-  HmmMapMatcher bridge_matcher(&net);
-  auto stitched = bridge_matcher.Match(raw);
+  HmmMapMatcher matcher(&net);
+  auto stitched = matcher.Match(raw);
   ASSERT_TRUE(stitched.ok()) << stitched.status().ToString();
   EXPECT_EQ(stitched->edges, (std::vector<traj::EdgeId>{0, 1, 2, 3, 4}));
   EXPECT_DOUBLE_EQ(stitched->start_time, 0.0);
-
-  HmmConfig split_cfg;
-  split_cfg.gap_policy = GapPolicy::kSplit;
-  HmmMapMatcher split_matcher(&net, split_cfg);
-  auto pieces = split_matcher.MatchSegments(raw);
+  auto pieces = matcher.MatchSegments(raw);
   ASSERT_TRUE(pieces.ok());
-  ASSERT_EQ(pieces->size(), 2u);
-  EXPECT_EQ((*pieces)[0].edges, (std::vector<traj::EdgeId>{0}));
-  EXPECT_EQ((*pieces)[1].edges, (std::vector<traj::EdgeId>{4}));
-  EXPECT_DOUBLE_EQ((*pieces)[1].start_time, 10.0);
-  // The split policy's Match keeps the piece with the most fixes (2 vs 1).
-  auto best = split_matcher.Match(raw);
-  ASSERT_TRUE(best.ok());
-  EXPECT_EQ(best->edges, (std::vector<traj::EdgeId>{0}));
+  ASSERT_EQ(pieces->size(), 1u);
+  EXPECT_EQ((*pieces)[0].edges, stitched->edges);
 }
 
 }  // namespace

@@ -330,9 +330,9 @@ TEST(LstmGradientCheck, ParametersAndInputs) {
   for (auto& x : xs) {
     for (auto& v : x) v = static_cast<float>(rng.Uniform(-1, 1));
   }
-  std::vector<Vec> d_h(T, Vec(H));
-  for (auto& d : d_h) {
-    for (auto& v : d) v = static_cast<float>(rng.Uniform(-1, 1));
+  Matrix d_h(T, H);
+  for (size_t i = 0; i < d_h.size(); ++i) {
+    d_h.data()[i] = static_cast<float>(rng.Uniform(-1, 1));
   }
 
   auto loss = [&]() {
@@ -341,7 +341,7 @@ TEST(LstmGradientCheck, ParametersAndInputs) {
     auto caches = lstm.Forward(inputs);
     float total = 0.0f;
     for (size_t t = 0; t < T; ++t) {
-      total += Dot(caches[t].h.data(), d_h[t].data(), H);
+      total += Dot(caches[t].h.data(), d_h.Row(t), H);
     }
     return total;
   };
@@ -352,8 +352,8 @@ TEST(LstmGradientCheck, ParametersAndInputs) {
   std::vector<const float*> inputs;
   for (auto& x : xs) inputs.push_back(x.data());
   auto caches = lstm.Forward(inputs);
-  std::vector<Vec> d_x;
-  lstm.Backward(caches, d_h, &d_x);
+  Matrix d_x;
+  lstm.BackwardSeq(caches, d_h, &d_x);
 
   // Spot-check several parameter coordinates across all three tensors.
   for (Parameter* p : reg.params()) {
@@ -380,7 +380,7 @@ TEST(LstmGradientCheck, ParametersAndInputs) {
     const float down = loss();
     xs[1][k] = orig;
     const float fd = (up - down) / (2 * kFdEps);
-    EXPECT_NEAR(d_x[1][k], fd, kFdTol * std::max(1.0f, std::abs(fd)));
+    EXPECT_NEAR(d_x(1, k), fd, kFdTol * std::max(1.0f, std::abs(fd)));
   }
 }
 
