@@ -12,22 +12,29 @@
 // kernel that drifts the last bit of one float fails here too, even when no
 // decision flips. golden_matched_edges.txt pins the map matcher: the
 // fixture's trips sampled as noisy, gappy GPS and matched back to edges.
+// golden_fleet_snapshot.txt pins the serving state: a fleet snapshot taken
+// halfway through a chaos-perturbed replay, as its payload hash and every
+// service counter by metrics name.
 //
 // Regenerate after an intentional behaviour change (see tests/README.md):
 //   RL4OASD_UPDATE_GOLDEN=1 ./build/tests/golden_regression_test
 // and commit the tests/data/ diff.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <iomanip>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/rl4oasd.h"
+#include "fleet_stats_fields.h"
 #include "golden_file.h"
 #include "io/model_io.h"
 #include "mapmatch/hmm_matcher.h"
+#include "serve/chaos.h"
 #include "serve/fleet.h"
 #include "test_util.h"
 #include "traj/gps_sampler.h"
@@ -37,6 +44,8 @@ namespace rl4oasd {
 namespace {
 
 using ::rl4oasd::testing::ExpectMatchesGoldenFile;
+using ::rl4oasd::testing::ExpectSnapshottedStatsEqual;
+using ::rl4oasd::testing::kSnapshottedStats;
 
 constexpr const char* kGoldenPath =
     RL4OASD_TEST_DATA_DIR "/golden_detect_runs.txt";
@@ -44,6 +53,8 @@ constexpr const char* kFingerprintPath =
     RL4OASD_TEST_DATA_DIR "/golden_model_fingerprints.txt";
 constexpr const char* kMatchedEdgesPath =
     RL4OASD_TEST_DATA_DIR "/golden_matched_edges.txt";
+constexpr const char* kFleetSnapshotPath =
+    RL4OASD_TEST_DATA_DIR "/golden_fleet_snapshot.txt";
 
 /// The fixed-seed tiny pipeline whose output the golden files pin. Any
 /// change here invalidates the golden files — bump deliberately, regenerate,
@@ -78,6 +89,28 @@ std::string RenderRuns(int64_t id,
     for (const auto& r : runs) os << " [" << r.begin << "," << r.end << ")";
   }
   return os.str();
+}
+
+/// FNV-1a 64 over a byte string.
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// DumpMetrics' lines in byte order, so the rendering does not depend on
+/// the order the monitor prints them in.
+std::string SortedLines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::sort(lines.begin(), lines.end());
+  std::string out;
+  for (const auto& line : lines) out += line + "\n";
+  return out;
 }
 
 /// The golden pipeline's network, data and model, trained once per suite.
@@ -213,6 +246,127 @@ TEST_F(GoldenRegressionTest, MatchedEdgesMatchGoldenFile) {
     rendered << "\n";
   }
   ExpectMatchesGoldenFile(kMatchedEdgesPath, rendered.str());
+}
+
+TEST_F(GoldenRegressionTest, FleetSnapshotMatchesGoldenFile) {
+  // The fixture's trips arrive one per wave and run through a synchronous
+  // monitor in FeedBatch waves, each trip ending when its stream runs out.
+  // A seeded injector perturbs every trip's stream, and the guard is armed
+  // the way oasd_simulate --chaos arms it: repair every class and
+  // quarantine past a strike budget. The budgets are scaled to trips of ~10
+  // points: a one-point drop is a dropout gap, 3 strikes quarantine, 3 clean
+  // points recover and 8 quarantined points evict. Every 8th trip rides a
+  // faulty device (a second, noisier injector); every 29th trip also sends
+  // one edge id outside the network; and the active-trip cap sits below the
+  // peak concurrency, so admissions evict the stalest trip. At the snapshot
+  // no snapshotted counter is zero and no two are equal, so a counter
+  // written, read or restored under another counter's name changes the
+  // golden.
+  serve::FleetConfig cfg;
+  cfg.max_active_trips = 11;
+  serve::IngestGuardConfig& g = cfg.guard;
+  g.duplicate_policy = serve::GuardPolicy::kRepair;
+  g.out_of_order_policy = serve::GuardPolicy::kRepair;
+  g.skew_policy = serve::GuardPolicy::kRepair;
+  g.dropout_policy = serve::GuardPolicy::kRepair;
+  g.teleport_policy = serve::GuardPolicy::kRepair;
+  g.malformed_budget = 3;
+  g.dropout_gap_s = 3.0;
+  g.quarantine_recovery_points = 3;
+  g.quarantine_evict_points = 8;
+  serve::FleetMonitor monitor(model_, cfg, nullptr);
+
+  serve::ChaosSpec mild;
+  mild.drop_prob = 0.03;
+  mild.dup_prob = 0.05;
+  mild.reorder_prob = 0.04;
+  mild.skew_prob = 0.02;
+  mild.teleport_prob = 0.01;
+  mild.seed = 9;
+  serve::ChaosSpec faulty;
+  faulty.drop_prob = 0.05;
+  faulty.dup_prob = 0.10;
+  faulty.reorder_prob = 0.10;
+  faulty.skew_prob = 0.10;
+  faulty.teleport_prob = 0.20;
+  faulty.seed = 10;
+  serve::ChaosInjector fleet_chaos(mild, net_);
+  serve::ChaosInjector device_chaos(faulty, net_);
+
+  struct Stream {
+    const traj::MapMatchedTrajectory* traj;
+    std::vector<serve::FleetPoint> points;
+  };
+  std::vector<Stream> streams;
+  for (const auto& lt : dataset_->trajs()) {
+    if (lt.traj.edges.size() < 2) continue;
+    std::vector<serve::FleetPoint> clean;
+    for (size_t p = 0; p < lt.traj.edges.size(); ++p) {
+      clean.push_back({lt.traj.id, lt.traj.edges[p],
+                       lt.traj.start_time + 2.0 * static_cast<double>(p)});
+    }
+    const size_t k = streams.size();
+    auto perturbed = (k % 8 == 7 ? device_chaos : fleet_chaos).Perturb(clean);
+    if (k % 29 == 3) {
+      perturbed[perturbed.size() / 2].edge =
+          static_cast<traj::EdgeId>(net_->NumEdges());
+    }
+    streams.push_back({&lt.traj, std::move(perturbed)});
+  }
+
+  // Wave w admits trip w and feeds the next point of every admitted trip.
+  size_t num_waves = 0;
+  for (size_t k = 0; k < streams.size(); ++k) {
+    num_waves = std::max(num_waves, k + streams[k].points.size());
+  }
+  std::vector<serve::FleetPoint> wave;
+  std::string payload;
+  for (size_t w = 0; w < num_waves / 2; ++w) {
+    if (w < streams.size()) {
+      const traj::MapMatchedTrajectory& t = *streams[w].traj;
+      ASSERT_TRUE(monitor.StartTrip(t.id, t.sd(), t.start_time).ok());
+    }
+    wave.clear();
+    for (size_t k = 0; k <= std::min(w, streams.size() - 1); ++k) {
+      if (w - k < streams[k].points.size()) {
+        wave.push_back(streams[k].points[w - k]);
+      }
+    }
+    (void)monitor.FeedBatch(wave);
+    for (size_t k = 0; k <= std::min(w, streams.size() - 1); ++k) {
+      // Trips evicted along the way answer NotFound here.
+      if (w - k + 1 == streams[k].points.size()) {
+        (void)monitor.EndTrip(streams[k].traj->id);
+      }
+    }
+  }
+  BinaryWriter snapshot;
+  ASSERT_TRUE(monitor.Snapshot(&snapshot, "golden").ok());
+  const std::string metrics = monitor.DumpMetrics();
+
+  const serve::FleetStats stats = monitor.Stats();
+
+  // A fresh monitor restored from the snapshot reports the same counters
+  // and writes the same bytes back.
+  serve::FleetMonitor restored(model_, cfg, nullptr);
+  BinaryReader reader(snapshot.buffer());
+  ASSERT_TRUE(restored.Restore(&reader).ok());
+  EXPECT_EQ(restored.DumpMetrics(), metrics);
+  ExpectSnapshottedStatsEqual(restored.Stats(), stats);
+  BinaryWriter again;
+  ASSERT_TRUE(restored.Snapshot(&again, "golden").ok());
+  EXPECT_EQ(again.buffer(), snapshot.buffer());
+
+  std::ostringstream rendered;
+  rendered << "snapshot_fnv1a64 " << std::hex << std::setfill('0')
+           << std::setw(16) << Fnv1a64(snapshot.buffer()) << std::dec
+           << "\n";
+  rendered << "snapshot_bytes " << snapshot.buffer().size() << "\n";
+  rendered << SortedLines(metrics);
+  for (const auto& f : kSnapshottedStats) {
+    rendered << "stats." << f.name << " " << stats.*f.field << "\n";
+  }
+  ExpectMatchesGoldenFile(kFleetSnapshotPath, rendered.str());
 }
 
 }  // namespace

@@ -389,12 +389,18 @@ TEST_P(FleetSnapshotFuzz, TripCountLieRejected) {
 
 TEST_P(FleetSnapshotFuzz, NegativeCounterRejectedOnRestore) {
   BuildSnapshot("fuzz");
-  // trips_finished sits at payload offset 24 + 8 (second stats i64).
+  const std::string pristine = ReadFile(path_);
+  // The 17 service counters sit at payload offsets 24, 32, ..., 152 (after
+  // magic, version, fingerprint and the 4-byte-prefixed meta "fuzz").
   const int64_t lie = -5;
-  PatchPayloadWithValidCrc(path_, 32, &lie, 8);
-  const Status st = TryRestore();
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  for (size_t i = 0; i < 17; ++i) {
+    WriteFile(path_, pristine);
+    PatchPayloadWithValidCrc(path_, 24 + 8 * i, &lie, 8);
+    const Status st = TryRestore();
+    ASSERT_FALSE(st.ok()) << "counter " << i;
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << "counter " << i << ": " << st.ToString();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FleetSnapshotFuzz,

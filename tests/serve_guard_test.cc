@@ -34,6 +34,7 @@
 #include "common/binary.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "fleet_stats_fields.h"
 #include "io/fleet_snapshot.h"
 #include "serve/chaos.h"
 #include "serve/fleet.h"
@@ -911,6 +912,7 @@ TEST_F(GuardTest, QuarantineStateSnapshotsBitIdentically) {
   FleetMonitor resumed(model_, cfg, &resumed_sink);
   BinaryReader reader(snap.buffer());
   ASSERT_TRUE(resumed.Restore(&reader).ok());
+  testing::ExpectSnapshottedStatsEqual(resumed.Stats(), monitor.Stats());
   BinaryWriter snap2;
   ASSERT_TRUE(resumed.Snapshot(&snap2, "quarantine").ok());
   EXPECT_EQ(snap.buffer(), snap2.buffer());

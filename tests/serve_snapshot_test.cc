@@ -24,6 +24,7 @@
 
 #include "common/binary.h"
 #include "common/mutex.h"
+#include "fleet_stats_fields.h"
 #include "io/fleet_snapshot.h"
 #include "io/model_io.h"
 #include "serve/fleet.h"
@@ -209,14 +210,6 @@ void FinishFleet(FleetMonitor* monitor, size_t num_vehicles) {
 // ---------------------------------------------------------------------------
 // The headline property: restore-equivalence.
 
-void ExpectStatsEqual(const FleetStats& a, const FleetStats& b) {
-  EXPECT_EQ(a.trips_started, b.trips_started);
-  EXPECT_EQ(a.trips_finished, b.trips_finished);
-  EXPECT_EQ(a.points_processed, b.points_processed);
-  EXPECT_EQ(a.alerts_emitted, b.alerts_emitted);
-  EXPECT_EQ(a.trips_evicted, b.trips_evicted);
-}
-
 void RunRestoreEquivalence(const core::Rl4Oasd* model,
                            const std::vector<const traj::MapMatchedTrajectory*>&
                                picks,
@@ -266,7 +259,7 @@ void RunRestoreEquivalence(const core::Rl4Oasd* model,
   const auto split_events = Concat(crash_sink.Take(), resumed_sink.Take());
   EXPECT_EQ(split_events, ref_events)
       << "snapshot at point " << snapshot_at << " of " << points.size();
-  ExpectStatsEqual(resumed.Stats(), ref_stats);
+  testing::ExpectSnapshottedStatsEqual(resumed.Stats(), ref_stats);
 }
 
 TEST_F(FleetSnapshotTest, RestoreEquivalenceAcrossIngestModes) {
