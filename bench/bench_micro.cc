@@ -4,15 +4,16 @@
 // update, and bounded shortest paths — plus batch sweeps (B in {1, 8, 12,
 // 16, 32, 128}; 12 is the live workload's typical wave width) of the
 // GEMM-backed batched inference path at each layer (LSTM cell, RSRNet step,
-// detector FeedBatch), reported per *point* so the batched rows read
+// detector FeedBatch), and the batched policy head at B in 1–8 and 12 (the
+// narrow GEMM tiles), reported per *point* so the batched rows read
 // directly against their streaming counterparts.
 #include <cstdio>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "core/detector.h"
-#include "io/checkpoint.h"
 #include "io/model_io.h"
 #include "nn/lstm.h"
 #include "roadnet/shortest_path.h"
@@ -264,6 +265,23 @@ void BM_GemmKernel(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GemmKernel)->Apply(WaveWidths);
+
+void BM_ActionProbsBatch(benchmark::State& state) {
+  // Batched counterpart of BM_PolicyAction: the policy head over B states,
+  // one GEMM whose n is the wave width, so the narrow widths run the
+  // narrow register tiles.
+  auto& f = Fixture();
+  const auto B = static_cast<size_t>(state.range(0));
+  nn::Matrix z(f.model.rsrnet().z_dim(), B, 0.1f);
+  const std::vector<int> prev_labels(B, 0);
+  nn::Matrix probs;
+  for (auto _ : state) {
+    f.model.asdnet().ActionProbsBatch(z, prev_labels, &probs);
+    benchmark::DoNotOptimize(probs.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(B));
+}
+BENCHMARK(BM_ActionProbsBatch)->DenseRange(1, 8)->Arg(12);
 
 void BM_ModelBundleSaveLoad(benchmark::State& state) {
   auto& f = Fixture();

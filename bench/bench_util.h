@@ -102,7 +102,6 @@ inline core::Rl4OasdConfig TunedConfig() {
   cfg.rsr.nrf_dim = 32;
   cfg.rsr.hidden_dim = 32;
   cfg.asd.label_dim = 32;
-  cfg.embedding.dim = 32;
   cfg.embedding.epochs = 1;
   cfg.embedding.random_walks_per_edge = 1;
   cfg.pretrain_samples = 200;

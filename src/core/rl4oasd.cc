@@ -341,9 +341,8 @@ void Rl4Oasd::Fit(const traj::Dataset& train) {
 
   if (config_.use_pretrained_embeddings) {
     phase.Start();
-    embed::SkipGramConfig ecfg = config_.embedding;
-    ecfg.dim = config_.rsr.embed_dim;
-    embed::SkipGramTrainer trainer(net_, ecfg);
+    embed::SkipGramTrainer trainer(net_, config_.rsr.embed_dim,
+                                   config_.embedding);
     rsr_->LoadTcfEmbeddings(trainer.Train(train));
     fit_timings_.embed_s = phase.ElapsedSeconds();
   }

@@ -9,22 +9,22 @@ namespace rl4oasd::embed {
 
 using roadnet::EdgeId;
 
-SkipGramTrainer::SkipGramTrainer(const roadnet::RoadNetwork* net,
+SkipGramTrainer::SkipGramTrainer(const roadnet::RoadNetwork* net, size_t dim,
                                  SkipGramConfig config)
-    : net_(net), config_(config), rng_(config.seed) {
+    : net_(net), dim_(dim), config_(config), rng_(config.seed) {
   // A window of 0 would draw UniformInt(0) and a negative one never ends;
   // the model-bundle reader rejects the same values by key.
-  RL4_CHECK_GE(config_.dim, size_t{1});
+  RL4_CHECK_GE(dim_, size_t{1});
   RL4_CHECK_GE(config_.window, 1);
   RL4_CHECK_GE(config_.walk_length, 1);
   RL4_CHECK_GE(config_.negatives, 0);
   RL4_CHECK_GE(config_.epochs, 0);
   RL4_CHECK_GE(config_.random_walks_per_edge, 0);
   const size_t n = net->NumEdges();
-  in_.Resize(n, config_.dim);
-  out_.Resize(n, config_.dim);
-  aux_w_.Resize(3, config_.dim);
-  const float scale = 0.5f / static_cast<float>(config_.dim);
+  in_.Resize(n, dim_);
+  out_.Resize(n, dim_);
+  aux_w_.Resize(3, dim_);
+  const float scale = 0.5f / static_cast<float>(dim_);
   for (size_t i = 0; i < in_.size(); ++i) {
     in_.data()[i] = static_cast<float>(rng_.Uniform(-scale, scale));
   }
@@ -33,7 +33,7 @@ SkipGramTrainer::SkipGramTrainer(const roadnet::RoadNetwork* net,
   }
   unigram_.assign(n, 1.0);
   const size_t max_targets = static_cast<size_t>(config_.negatives) + 1;
-  grad_in_.resize(config_.dim);
+  grad_in_.resize(dim_);
   targets_.reserve(max_targets);
   dots_.resize(max_targets);
 }
@@ -93,7 +93,7 @@ void InterleavedDots(const float* a, const nn::Matrix& m, const EdgeId* rows,
 }  // namespace
 
 void SkipGramTrainer::UpdatePair(EdgeId center, EdgeId context, double lr) {
-  const size_t dim = config_.dim;
+  const size_t dim = dim_;
   float* v_in = in_.Row(center);
   // The pair's targets: the context (label 1), then the negatives (label
   // 0) in draw order. Negative sampling is the inner loop of the whole
@@ -143,7 +143,7 @@ void SkipGramTrainer::UpdatePair(EdgeId center, EdgeId context, double lr) {
 }
 
 void SkipGramTrainer::UpdateAux(EdgeId center, double lr) {
-  const size_t dim = config_.dim;
+  const size_t dim = dim_;
   float* v_in = in_.Row(center);
   float logits[3];
   nn::MatVec(aux_w_, v_in, logits);

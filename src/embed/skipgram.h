@@ -18,8 +18,9 @@
 
 namespace rl4oasd::embed {
 
+/// The trainer's hyperparameters. The vector width is the caller's: Fit
+/// trains at RSRNet's embed_dim, the width the rows must load into.
 struct SkipGramConfig {
-  size_t dim = 64;
   int window = 4;
   int negatives = 5;
   int epochs = 2;
@@ -38,7 +39,8 @@ struct SkipGramConfig {
 /// whose rows initialize RSRNet's TCF embedding layer.
 class SkipGramTrainer {
  public:
-  SkipGramTrainer(const roadnet::RoadNetwork* net, SkipGramConfig config);
+  SkipGramTrainer(const roadnet::RoadNetwork* net, size_t dim,
+                  SkipGramConfig config);
 
   /// Trains on the dataset's trajectories plus random walks. Returns the
   /// input-vector table.
@@ -59,6 +61,7 @@ class SkipGramTrainer {
   void UpdateAux(roadnet::EdgeId center, double lr);
 
   const roadnet::RoadNetwork* net_;
+  size_t dim_;
   SkipGramConfig config_;
   Rng rng_;
   nn::Matrix in_;    // NumEdges x dim
@@ -68,7 +71,7 @@ class SkipGramTrainer {
   /// O(1) negative sampler over unigram_, rebuilt by Train after
   /// BuildCorpus; bit-identical to rng_.Categorical(unigram_).
   std::unique_ptr<CategoricalSampler> neg_sampler_;
-  // UpdatePair scratch, sized from config_ at construction.
+  // UpdatePair scratch, sized at construction.
   std::vector<float> grad_in_;            // dim
   std::vector<roadnet::EdgeId> targets_;  // context + kept negatives
   std::vector<float> dots_;               // v_in . out_ row, per target

@@ -103,44 +103,4 @@ Status LoadRegistry(const std::string& path, nn::ParameterRegistry* registry) {
   return ReadRegistry(&r, registry);
 }
 
-void WriteMatrix(const nn::Matrix& m, BinaryWriter* w) {
-  w->WriteBytes(kMagic, 4);
-  w->WriteU32(kTensorFormatVersion);
-  w->WriteU32(1);
-  WriteTensorPayload("matrix", m, w);
-}
-
-Status ReadMatrix(BinaryReader* r, nn::Matrix* m) {
-  RL4_RETURN_NOT_OK(CheckMagicAndVersion(r));
-  uint32_t count;
-  RL4_RETURN_NOT_OK(r->ReadU32(&count));
-  if (count != 1) {
-    return Status::IOError("expected a single-tensor file, found " +
-                           std::to_string(count));
-  }
-  std::string name;
-  RL4_RETURN_NOT_OK(r->ReadString(&name));
-  uint64_t rows, cols;
-  RL4_RETURN_NOT_OK(r->ReadU64(&rows));
-  RL4_RETURN_NOT_OK(r->ReadU64(&cols));
-  m->Resize(rows, cols);
-  for (size_t k = 0; k < m->size(); ++k) {
-    RL4_RETURN_NOT_OK(r->ReadF32(&m->data()[k]));
-  }
-  return Status::OK();
-}
-
-Status SaveMatrix(const nn::Matrix& m, const std::string& path) {
-  BinaryWriter w;
-  WriteMatrix(m, &w);
-  return w.WriteToFile(path);
-}
-
-Result<nn::Matrix> LoadMatrix(const std::string& path) {
-  RL4_ASSIGN_OR_RETURN(BinaryReader r, BinaryReader::OpenFile(path));
-  nn::Matrix m;
-  RL4_RETURN_NOT_OK(ReadMatrix(&r, &m));
-  return m;
-}
-
 }  // namespace rl4oasd::io

@@ -1,5 +1,5 @@
-// Named-tensor checkpoint format for nn::ParameterRegistry and standalone
-// matrices. Layout (inside a CRC32-protected BinaryWriter payload):
+// Named-tensor checkpoint format for nn::ParameterRegistry. Layout (inside
+// a CRC32-protected BinaryWriter payload):
 //
 //   magic "RLTF" | u32 format version | u32 tensor count |
 //   per tensor: name | u64 rows | u64 cols | rows*cols f32 values
@@ -31,13 +31,5 @@ Status ReadRegistry(BinaryReader* r, nn::ParameterRegistry* registry);
 Status SaveRegistry(const nn::ParameterRegistry& registry,
                     const std::string& path);
 Status LoadRegistry(const std::string& path, nn::ParameterRegistry* registry);
-
-/// Appends / reads a single unnamed matrix (used for pre-trained road
-/// embedding tables, which exist outside any registry).
-void WriteMatrix(const nn::Matrix& m, BinaryWriter* w);
-Status ReadMatrix(BinaryReader* r, nn::Matrix* m);
-
-Status SaveMatrix(const nn::Matrix& m, const std::string& path);
-Result<nn::Matrix> LoadMatrix(const std::string& path);
 
 }  // namespace rl4oasd::io

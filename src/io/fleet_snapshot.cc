@@ -24,23 +24,7 @@ Status ReadFleetSnapshotHeader(BinaryReader* r, FleetSnapshotHeader* header) {
   }
   RL4_RETURN_NOT_OK(r->ReadU64(&header->model_fingerprint));
   RL4_RETURN_NOT_OK(r->ReadString(&header->user_meta));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->trips_started));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->trips_finished));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->points_processed));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->alerts_emitted));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->trips_evicted));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->guard_duplicates));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->guard_out_of_order));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->guard_clock_skew));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->guard_dropout_gaps));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->guard_teleports));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->guard_invalid_edges));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->points_repaired));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->points_rejected));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->points_quarantine_dropped));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->trips_quarantined));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->trips_recovered));
-  RL4_RETURN_NOT_OK(r->ReadI64(&header->quarantine_evictions));
+  for (int64_t& c : header->counters) RL4_RETURN_NOT_OK(r->ReadI64(&c));
   return Status::OK();
 }
 
@@ -57,29 +41,9 @@ Status ReadFleetSnapshotTripCount(BinaryReader* r, uint64_t* num_trips) {
 
 Result<FleetSnapshotInfo> DescribeFleetSnapshot(const std::string& path) {
   RL4_ASSIGN_OR_RETURN(BinaryReader r, BinaryReader::OpenFile(path));
-  FleetSnapshotHeader header;
-  RL4_RETURN_NOT_OK(ReadFleetSnapshotHeader(&r, &header));
   FleetSnapshotInfo info;
+  RL4_RETURN_NOT_OK(ReadFleetSnapshotHeader(&r, &info));
   info.version = kFleetSnapshotVersion;
-  info.model_fingerprint = header.model_fingerprint;
-  info.user_meta = std::move(header.user_meta);
-  info.trips_started = header.trips_started;
-  info.trips_finished = header.trips_finished;
-  info.points_processed = header.points_processed;
-  info.alerts_emitted = header.alerts_emitted;
-  info.trips_evicted = header.trips_evicted;
-  info.guard_duplicates = header.guard_duplicates;
-  info.guard_out_of_order = header.guard_out_of_order;
-  info.guard_clock_skew = header.guard_clock_skew;
-  info.guard_dropout_gaps = header.guard_dropout_gaps;
-  info.guard_teleports = header.guard_teleports;
-  info.guard_invalid_edges = header.guard_invalid_edges;
-  info.points_repaired = header.points_repaired;
-  info.points_rejected = header.points_rejected;
-  info.points_quarantine_dropped = header.points_quarantine_dropped;
-  info.trips_quarantined = header.trips_quarantined;
-  info.trips_recovered = header.trips_recovered;
-  info.quarantine_evictions = header.quarantine_evictions;
 
   uint64_t num_trips;
   RL4_RETURN_NOT_OK(ReadFleetSnapshotTripCount(&r, &num_trips));

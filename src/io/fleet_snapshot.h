@@ -5,7 +5,7 @@
 // CRC32-protected file. Layout (inside a BinaryWriter payload):
 //
 //   magic "RLFS" | u32 format version | u64 model-bundle fingerprint |
-//   user metadata string | 17 x i64 service counters |
+//   user metadata string | 17 x i64 service counters (FleetCounter order) |
 //   u64 trip count | per trip: i64 vehicle_id | f64 last_update |
 //                              length-prefixed session record |
 //                              length-prefixed ingest-guard record
@@ -29,8 +29,11 @@
 // this header owns the format constants and the model-free inspector.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/binary.h"
@@ -40,6 +43,69 @@ namespace rl4oasd::io {
 
 inline constexpr char kFleetSnapshotMagic[4] = {'R', 'L', 'F', 'S'};
 inline constexpr uint32_t kFleetSnapshotVersion = 2;
+
+/// The service counters a snapshot carries, in file order. The one list
+/// every counter walker follows: serve::FleetMonitor's per-shard counters,
+/// Stats(), DumpMetrics(), Snapshot() and Restore(), the header reader and
+/// oasd_inspect. serve::FleetStats documents what each one counts.
+enum class FleetCounter : uint8_t {
+  kTripsStarted,
+  kTripsFinished,
+  kPointsProcessed,
+  kAlertsEmitted,
+  kTripsEvicted,
+  // Ingest-guard counters (format v2).
+  kGuardDuplicates,
+  kGuardOutOfOrder,
+  kGuardClockSkew,
+  kGuardDropoutGaps,
+  kGuardTeleports,
+  kGuardInvalidEdges,
+  kPointsRepaired,
+  kPointsRejected,
+  kPointsQuarantineDropped,
+  kTripsQuarantined,
+  kTripsRecovered,
+  kQuarantineEvictions,
+};
+inline constexpr size_t kNumFleetCounters =
+    static_cast<size_t>(FleetCounter::kQuarantineEvictions) + 1;
+
+/// Each counter's metrics name, indexed by FleetCounter.
+inline constexpr std::string_view kFleetCounterNames[] = {
+    "fleet_trips_started",
+    "fleet_trips_finished",
+    "fleet_points_processed",
+    "fleet_alerts_emitted",
+    "fleet_trips_evicted",
+    "guard_duplicates",
+    "guard_out_of_order",
+    "guard_clock_skew",
+    "guard_dropout_gaps",
+    "guard_teleports",
+    "guard_invalid_edges",
+    "guard_points_repaired",
+    "guard_points_rejected",
+    "guard_points_quarantine_dropped",
+    "guard_trips_quarantined",
+    "guard_trips_recovered",
+    "guard_quarantine_evictions",
+};
+static_assert(std::size(kFleetCounterNames) == kNumFleetCounters);
+
+/// The fixed header that precedes the trip array. One parser
+/// (ReadFleetSnapshotHeader) serves both serve::FleetMonitor::Restore and
+/// DescribeFleetSnapshot, so the layout lives in exactly one place.
+struct FleetSnapshotHeader {
+  uint64_t model_fingerprint = 0;
+  std::string user_meta;
+  /// Service counters at snapshot time, indexed by FleetCounter.
+  std::array<int64_t, kNumFleetCounters> counters{};
+
+  int64_t counter(FleetCounter c) const {
+    return counters[static_cast<size_t>(c)];
+  }
+};
 
 /// Per-trip header readable without the model or road network.
 struct FleetSnapshotTrip {
@@ -53,59 +119,13 @@ struct FleetSnapshotTrip {
 };
 
 /// Snapshot metadata readable without reconstructing the fleet — backs the
-/// oasd_inspect tool and CI triage.
-struct FleetSnapshotInfo {
+/// oasd_inspect tool and CI triage: the header it was read from, then the
+/// trips.
+struct FleetSnapshotInfo : FleetSnapshotHeader {
   uint32_t version = 0;
-  uint64_t model_fingerprint = 0;
-  std::string user_meta;
-  // Service counters at snapshot time (mirrors serve::FleetStats).
-  int64_t trips_started = 0;
-  int64_t trips_finished = 0;
-  int64_t points_processed = 0;
-  int64_t alerts_emitted = 0;
-  int64_t trips_evicted = 0;
-  // Ingest-guard counters (format v2; mirrors serve::FleetStats).
-  int64_t guard_duplicates = 0;
-  int64_t guard_out_of_order = 0;
-  int64_t guard_clock_skew = 0;
-  int64_t guard_dropout_gaps = 0;
-  int64_t guard_teleports = 0;
-  int64_t guard_invalid_edges = 0;
-  int64_t points_repaired = 0;
-  int64_t points_rejected = 0;
-  int64_t points_quarantine_dropped = 0;
-  int64_t trips_quarantined = 0;
-  int64_t trips_recovered = 0;
-  int64_t quarantine_evictions = 0;
   std::vector<FleetSnapshotTrip> trips;
   uint64_t total_points = 0;       // sum of points_fed over all live trips
   uint64_t quarantined_trips = 0;  // live trips snapshotted mid-quarantine
-};
-
-/// The fixed header that precedes the trip array. One parser
-/// (ReadFleetSnapshotHeader) serves both serve::FleetMonitor::Restore and
-/// DescribeFleetSnapshot, so the layout lives in exactly one place.
-struct FleetSnapshotHeader {
-  uint64_t model_fingerprint = 0;
-  std::string user_meta;
-  int64_t trips_started = 0;
-  int64_t trips_finished = 0;
-  int64_t points_processed = 0;
-  int64_t alerts_emitted = 0;
-  int64_t trips_evicted = 0;
-  // Ingest-guard counters (format v2; mirrors serve::FleetStats).
-  int64_t guard_duplicates = 0;
-  int64_t guard_out_of_order = 0;
-  int64_t guard_clock_skew = 0;
-  int64_t guard_dropout_gaps = 0;
-  int64_t guard_teleports = 0;
-  int64_t guard_invalid_edges = 0;
-  int64_t points_repaired = 0;
-  int64_t points_rejected = 0;
-  int64_t points_quarantine_dropped = 0;
-  int64_t trips_quarantined = 0;
-  int64_t trips_recovered = 0;
-  int64_t quarantine_evictions = 0;
 };
 
 /// Reads magic, version, fingerprint, user metadata, and the service

@@ -62,7 +62,9 @@ class ConfigKvView {
 
     // SkipGramTrainer CHECK-fails below these minimums (a window of 0
     // would divide by zero drawing the window, a negative one never ends).
-    BindInt("embedding.dim", &c->embedding.dim, /*min=*/size_t{1});
+    // Skip-gram trains at rsr.embed_dim; embedding.dim once set it too and
+    // stays in every bundle at that value, so bundle bytes do not move.
+    BindMirror("embedding.dim", &c->rsr.embed_dim, /*min=*/size_t{1});
     BindInt("embedding.window", &c->embedding.window, /*min=*/1);
     BindInt("embedding.negatives", &c->embedding.negatives, /*min=*/0);
     BindInt("embedding.epochs", &c->embedding.epochs, /*min=*/0);
@@ -149,15 +151,29 @@ class ConfigKvView {
   /// bits: exactly the doubles that convert to T. Both bounds are exact
   /// doubles, where T's max need not be (2^64 - 1 rounds up to 2^64).
   template <typename T>
+  static Status ToInt(const char* key, double v, T min, T* out) {
+    const double end = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    if (v != std::trunc(v) || v < static_cast<double>(min) || v >= end) {
+      return OutOfRange(key, v);
+    }
+    *out = static_cast<T>(v);
+    return Status::OK();
+  }
+  template <typename T>
   void BindInt(const char* key, T* p, T min = std::numeric_limits<T>::min()) {
     getters_.emplace(key, [p] { return static_cast<double>(*p); });
     setters_.emplace(key, [key, p, min](double v) {
-      const double end = std::ldexp(1.0, std::numeric_limits<T>::digits);
-      if (v != std::trunc(v) || v < static_cast<double>(min) || v >= end) {
-        return OutOfRange(key, v);
-      }
-      *p = static_cast<T>(v);
-      return Status::OK();
+      return ToInt(key, v, min, p);
+    });
+  }
+  /// A retired key written as another field's value: reading range-checks
+  /// it like BindInt and stores nothing.
+  template <typename T>
+  void BindMirror(const char* key, const T* p, T min) {
+    getters_.emplace(key, [p] { return static_cast<double>(*p); });
+    setters_.emplace(key, [key, min](double v) {
+      T unused;
+      return ToInt(key, v, min, &unused);
     });
   }
   void BindBool(const char* key, bool* p) {

@@ -63,22 +63,4 @@ void AdamOptimizer::Step() {
   }
 }
 
-void SgdOptimizer::Step() {
-  for (Parameter* p : registry_->params()) {
-    // Zero-gradient rows of row-sparse parameters are exact no-ops.
-    if (p->row_sparse) {
-      const size_t cols = p->value.cols();
-      ForEachSetRow(p->touched_bits, [&](size_t r) {
-        float* w = p->value.Row(r);
-        const float* g = p->grad.Row(r);
-        for (size_t c = 0; c < cols; ++c) w[c] -= lr_ * g[c];
-      });
-      continue;
-    }
-    float* w = p->value.data();
-    const float* g = p->grad.data();
-    for (size_t i = 0; i < p->value.size(); ++i) w[i] -= lr_ * g[i];
-  }
-}
-
 }  // namespace rl4oasd::nn

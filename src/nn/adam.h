@@ -1,4 +1,4 @@
-// Adam and plain SGD optimizers over a ParameterRegistry.
+// The Adam optimizer over a ParameterRegistry.
 #pragma once
 
 #include <vector>
@@ -42,22 +42,6 @@ class AdamOptimizer {
   /// row-sparse parameters: only these plus newly-touched rows need the
   /// per-step decay walk (exact skip; see Step()).
   std::vector<std::vector<uint64_t>> active_rows_;
-};
-
-/// Vanilla SGD, used for cheap online fine-tuning (concept drift).
-class SgdOptimizer {
- public:
-  SgdOptimizer(ParameterRegistry* registry, float lr)
-      : registry_(registry), lr_(lr) {}
-
-  void Step();
-
-  float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
-
- private:
-  ParameterRegistry* registry_;
-  float lr_;
 };
 
 }  // namespace rl4oasd::nn

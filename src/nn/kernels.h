@@ -51,29 +51,13 @@ RL4_ALWAYS_INLINE void GemmRowTile(const float* ai, size_t k, const float* b,
   }
 }
 
-/// Variable-width tail tile (j extents not divisible by the register tile).
-RL4_ALWAYS_INLINE void GemmRowTail(const float* ai, size_t k, const float* b,
-                                   size_t ldb, size_t width, float* ci,
-                                   bool accumulate) {
-  float acc[7] = {};  // width < 8 by construction
-  for (size_t kx = 0; kx < k; ++kx) {
-    const float aik = ai[kx];
-    const float* bk = b + kx * ldb;
-    for (size_t t = 0; t < width; ++t) acc[t] += aik * bk[t];
-  }
-  if (accumulate) {
-    for (size_t t = 0; t < width; ++t) ci[t] += acc[t];
-  } else {
-    for (size_t t = 0; t < width; ++t) ci[t] = acc[t];
-  }
-}
-
 /// The GEMM loop nest (see nn::Gemm for the contract). Column tiles
 /// accumulate in registers over the full k extent, so each C element is
 /// the plain ascending-k product chain whatever tile covers it; with
 /// `accumulate` the finished chain is added to C in one step. The batch (j)
 /// dimension is the contiguous, auto-vectorized axis; WIDE is the widest
-/// tile, then 64, 16, 8 and a scalar tail cover what is left.
+/// tile, then 64, 16, 8, 4, 2 and 1 cover what is left, so every width runs
+/// a register tile.
 template <size_t WIDE>
 RL4_ALWAYS_INLINE void GemmLoop(const float* a, size_t m, size_t k,
                                 size_t lda, const float* b, size_t n,
@@ -81,8 +65,11 @@ RL4_ALWAYS_INLINE void GemmLoop(const float* a, size_t m, size_t k,
                                 bool accumulate) {
   for (size_t j0 = 0; j0 < n;) {
     const size_t left = n - j0;
-    const size_t narrow = left >= 16 ? 16 : left >= 8 ? 8 : left;
-    const size_t tile = left >= WIDE ? WIDE : left >= 64 ? 64 : narrow;
+    const size_t narrow = left >= 8 ? 8 : left >= 4 ? 4 : left >= 2 ? 2 : 1;
+    const size_t tile = left >= WIDE ? WIDE
+                        : left >= 64 ? 64
+                        : left >= 16 ? 16
+                                     : narrow;
     for (size_t i = 0; i < m; ++i) {
       const float* ai = a + i * lda;
       float* ci = c + i * ldc + j0;
@@ -95,8 +82,12 @@ RL4_ALWAYS_INLINE void GemmLoop(const float* a, size_t m, size_t k,
         GemmRowTile<16>(ai, k, bj, ldb, ci, accumulate);
       } else if (tile == 8) {
         GemmRowTile<8>(ai, k, bj, ldb, ci, accumulate);
+      } else if (tile == 4) {
+        GemmRowTile<4>(ai, k, bj, ldb, ci, accumulate);
+      } else if (tile == 2) {
+        GemmRowTile<2>(ai, k, bj, ldb, ci, accumulate);
       } else {
-        GemmRowTail(ai, k, bj, ldb, tile, ci, accumulate);
+        GemmRowTile<1>(ai, k, bj, ldb, ci, accumulate);
       }
     }
     j0 += tile;

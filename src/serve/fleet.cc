@@ -19,6 +19,37 @@ namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
+using io::FleetCounter;
+using Anomaly = IngestGuard::Anomaly;
+
+/// Binds each snapshotted counter to its FleetStats field, indexed by
+/// io::FleetCounter; the guard's per-class counters also name the anomaly
+/// class they count.
+struct CounterBinding {
+  int64_t FleetStats::*field;
+  Anomaly anomaly = Anomaly::kNone;
+};
+constexpr CounterBinding kCounters[] = {
+    {&FleetStats::trips_started},
+    {&FleetStats::trips_finished},
+    {&FleetStats::points_processed},
+    {&FleetStats::alerts_emitted},
+    {&FleetStats::trips_evicted},
+    {&FleetStats::guard_duplicates, Anomaly::kDuplicate},
+    {&FleetStats::guard_out_of_order, Anomaly::kOutOfOrder},
+    {&FleetStats::guard_clock_skew, Anomaly::kClockSkew},
+    {&FleetStats::guard_dropout_gaps, Anomaly::kDropout},
+    {&FleetStats::guard_teleports, Anomaly::kTeleport},
+    {&FleetStats::guard_invalid_edges, Anomaly::kInvalidEdge},
+    {&FleetStats::points_repaired},
+    {&FleetStats::points_rejected},
+    {&FleetStats::points_quarantine_dropped},
+    {&FleetStats::trips_quarantined},
+    {&FleetStats::trips_recovered},
+    {&FleetStats::quarantine_evictions},
+};
+static_assert(std::size(kCounters) == io::kNumFleetCounters);
+
 /// Rounds up to a power of two (shard indexing uses a bitmask).
 size_t RoundUpPow2(size_t n) {
   size_t p = 1;
@@ -166,7 +197,7 @@ Status FleetMonitor::StartTrip(int64_t vehicle_id, traj::SdPair sd,
     }
     reserved = active_trips_.fetch_add(1, kRelaxed) + 1;
   }
-  shard.counters.trips_started.fetch_add(1, kRelaxed);
+  Count(&shard, FleetCounter::kTripsStarted);
   if (reserved > cap) {
     // This admission overflowed the cap, so it pays for exactly one
     // eviction. The count can transiently sit above the cap (by the number
@@ -195,8 +226,7 @@ void FleetMonitor::EmitNewRuns(int64_t vehicle_id, Trip* trip, Shard* shard,
     SinkAlert(Alert{vehicle_id, trip->sd, trip->start_time, run, timestamp,
                     position});
   }
-  shard->counters.alerts_emitted.fetch_add(static_cast<int64_t>(runs.size()),
-                                           kRelaxed);
+  Count(shard, FleetCounter::kAlertsEmitted, static_cast<int64_t>(runs.size()));
 }
 
 // The Sink* helpers run under the reporting trip's lock (their callers are
@@ -286,46 +316,27 @@ FleetMonitor::GuardVerdict FleetMonitor::ApplyGuard(int64_t vehicle_id,
                                                     double* timestamp) {
   const IngestGuard::Decision d = guard_.Check(&trip->guard, edge,
                                                *timestamp);
-  ShardCounters& c = shard->counters;
-  switch (d.anomaly) {
-    case IngestGuard::Anomaly::kNone:
-      break;
-    case IngestGuard::Anomaly::kInvalidEdge:
-      c.guard_invalid_edges.fetch_add(1, kRelaxed);
-      break;
-    case IngestGuard::Anomaly::kDuplicate:
-      c.guard_duplicates.fetch_add(1, kRelaxed);
-      break;
-    case IngestGuard::Anomaly::kOutOfOrder:
-      c.guard_out_of_order.fetch_add(1, kRelaxed);
-      break;
-    case IngestGuard::Anomaly::kClockSkew:
-      c.guard_clock_skew.fetch_add(1, kRelaxed);
-      break;
-    case IngestGuard::Anomaly::kDropout:
-      c.guard_dropout_gaps.fetch_add(1, kRelaxed);
-      break;
-    case IngestGuard::Anomaly::kTeleport:
-      c.guard_teleports.fetch_add(1, kRelaxed);
-      break;
-  }
-  if (d.repaired) c.points_repaired.fetch_add(1, kRelaxed);
-  if (!d.accept) {
-    if (d.quarantine_dropped) {
-      c.points_quarantine_dropped.fetch_add(1, kRelaxed);
-    } else {
-      c.points_rejected.fetch_add(1, kRelaxed);
+  if (d.anomaly != Anomaly::kNone) {
+    for (size_t i = 0; i < io::kNumFleetCounters; ++i) {
+      if (kCounters[i].anomaly == d.anomaly) {
+        Count(shard, static_cast<FleetCounter>(i));
+      }
     }
   }
+  if (d.repaired) Count(shard, FleetCounter::kPointsRepaired);
+  if (!d.accept) {
+    Count(shard, d.quarantine_dropped ? FleetCounter::kPointsQuarantineDropped
+                                      : FleetCounter::kPointsRejected);
+  }
   if (d.entered_quarantine) {
-    c.trips_quarantined.fetch_add(1, kRelaxed);
+    Count(shard, FleetCounter::kTripsQuarantined);
     // Fired here, under the trip lock, so the quarantine notice is
     // sequenced against the trip's alerts exactly like every other
     // lifecycle event.
     SinkTripQuarantined(vehicle_id, trip->start_time,
                         trip->guard.malformed_total);
   }
-  if (d.recovered) c.trips_recovered.fetch_add(1, kRelaxed);
+  if (d.recovered) Count(shard, FleetCounter::kTripsRecovered);
   *timestamp = d.timestamp;
   return GuardVerdict{d.accept, d.evict};
 }
@@ -371,7 +382,7 @@ Result<int> FleetMonitor::Feed(int64_t vehicle_id, traj::EdgeId edge,
       if (v.accept) {
         const int label = t->session.Feed(edge);
         EmitNewRuns(vehicle_id, t, &shard, ts);
-        shard.counters.points_processed.fetch_add(1, kRelaxed);
+        Count(&shard, FleetCounter::kPointsProcessed);
         return label;
       }
       evict = v.evict;
@@ -579,7 +590,7 @@ size_t FleetMonitor::FeedBatch(std::span<const FleetPoint> points)
 
   for (size_t s = 0; s < num_shards; ++s) {
     if (shard_fed[s] != 0) {
-      shards_[s].counters.points_processed.fetch_add(shard_fed[s], kRelaxed);
+      Count(&shards_[s], FleetCounter::kPointsProcessed, shard_fed[s]);
       fed += static_cast<size_t>(shard_fed[s]);
     }
   }
@@ -662,7 +673,7 @@ Result<std::vector<uint8_t>> FleetMonitor::EndTrip(int64_t vehicle_id) {
     SinkTripFinalized(vehicle_id, t->sd, t->start_time, t->session.edges(),
                       labels);
   }
-  shard.counters.trips_finished.fetch_add(1, kRelaxed);
+  Count(&shard, FleetCounter::kTripsFinished);
   return labels;
 }
 
@@ -679,11 +690,11 @@ void FleetMonitor::FinishEvicted(int64_t vehicle_id, Trip* trip,
     if (const auto open = trip->session.OpenRun()) {
       SinkAlert(Alert{vehicle_id, trip->sd, trip->start_time, *open, ts,
                       trip->session.labels().size()});
-      shard->counters.alerts_emitted.fetch_add(1, kRelaxed);
+      Count(shard, FleetCounter::kAlertsEmitted);
     }
     SinkTripEvicted(vehicle_id, trip->start_time, trip->session.labels());
   }
-  shard->counters.trips_evicted.fetch_add(1, kRelaxed);
+  Count(shard, FleetCounter::kTripsEvicted);
 }
 
 void FleetMonitor::EvictQuarantined(int64_t vehicle_id, Trip* trip) {
@@ -699,7 +710,7 @@ void FleetMonitor::EvictQuarantined(int64_t vehicle_id, Trip* trip) {
     shard.trips.erase(it);
   }
   FinishEvicted(vehicle_id, trip, &shard);
-  shard.counters.quarantine_evictions.fetch_add(1, kRelaxed);
+  Count(&shard, FleetCounter::kQuarantineEvictions);
 }
 
 size_t FleetMonitor::EvictStale(double now) {
@@ -773,25 +784,9 @@ size_t FleetMonitor::ActiveTrips() const {
 FleetStats FleetMonitor::Stats() const {
   FleetStats stats;
   for (const Shard& shard : shards_) {
-    const ShardCounters& c = shard.counters;
-    stats.trips_started += c.trips_started.load(kRelaxed);
-    stats.trips_finished += c.trips_finished.load(kRelaxed);
-    stats.points_processed += c.points_processed.load(kRelaxed);
-    stats.alerts_emitted += c.alerts_emitted.load(kRelaxed);
-    stats.trips_evicted += c.trips_evicted.load(kRelaxed);
-    stats.guard_duplicates += c.guard_duplicates.load(kRelaxed);
-    stats.guard_out_of_order += c.guard_out_of_order.load(kRelaxed);
-    stats.guard_clock_skew += c.guard_clock_skew.load(kRelaxed);
-    stats.guard_dropout_gaps += c.guard_dropout_gaps.load(kRelaxed);
-    stats.guard_teleports += c.guard_teleports.load(kRelaxed);
-    stats.guard_invalid_edges += c.guard_invalid_edges.load(kRelaxed);
-    stats.points_repaired += c.points_repaired.load(kRelaxed);
-    stats.points_rejected += c.points_rejected.load(kRelaxed);
-    stats.points_quarantine_dropped +=
-        c.points_quarantine_dropped.load(kRelaxed);
-    stats.trips_quarantined += c.trips_quarantined.load(kRelaxed);
-    stats.trips_recovered += c.trips_recovered.load(kRelaxed);
-    stats.quarantine_evictions += c.quarantine_evictions.load(kRelaxed);
+    for (size_t i = 0; i < io::kNumFleetCounters; ++i) {
+      stats.*kCounters[i].field += shard.counters[i].load(kRelaxed);
+    }
   }
   if (ingest_ != nullptr) {
     stats.points_submitted = ingest_->PointsSubmitted();
@@ -834,27 +829,13 @@ std::string FleetMonitor::DumpMetrics() const {
     out.append(std::to_string(value));
     out.push_back('\n');
   };
-  line("fleet_trips_started", s.trips_started);
-  line("fleet_trips_finished", s.trips_finished);
-  line("fleet_trips_evicted", s.trips_evicted);
+  for (size_t i = 0; i < io::kNumFleetCounters; ++i) {
+    line(io::kFleetCounterNames[i], s.*kCounters[i].field);
+  }
   line("fleet_trips_active", static_cast<int64_t>(ActiveTrips()));
-  line("fleet_points_processed", s.points_processed);
   line("fleet_points_submitted", s.points_submitted);
   line("fleet_points_shed", s.points_shed);
-  line("fleet_alerts_emitted", s.alerts_emitted);
   line("fleet_alerts_delivered", s.alerts_delivered);
-  line("guard_duplicates", s.guard_duplicates);
-  line("guard_out_of_order", s.guard_out_of_order);
-  line("guard_clock_skew", s.guard_clock_skew);
-  line("guard_dropout_gaps", s.guard_dropout_gaps);
-  line("guard_teleports", s.guard_teleports);
-  line("guard_invalid_edges", s.guard_invalid_edges);
-  line("guard_points_repaired", s.points_repaired);
-  line("guard_points_rejected", s.points_rejected);
-  line("guard_points_quarantine_dropped", s.points_quarantine_dropped);
-  line("guard_trips_quarantined", s.trips_quarantined);
-  line("guard_trips_recovered", s.trips_recovered);
-  line("guard_quarantine_evictions", s.quarantine_evictions);
   line("model_generation", static_cast<int64_t>(ModelGeneration()));
   return out;
 }
@@ -920,23 +901,7 @@ Status FleetMonitor::Snapshot(BinaryWriter* w, std::string_view user_meta) {
   out.WriteU32(io::kFleetSnapshotVersion);
   out.WriteU64(handle->Fingerprint());
   out.WriteString(user_meta);
-  out.WriteI64(stats.trips_started);
-  out.WriteI64(stats.trips_finished);
-  out.WriteI64(stats.points_processed);
-  out.WriteI64(stats.alerts_emitted);
-  out.WriteI64(stats.trips_evicted);
-  out.WriteI64(stats.guard_duplicates);
-  out.WriteI64(stats.guard_out_of_order);
-  out.WriteI64(stats.guard_clock_skew);
-  out.WriteI64(stats.guard_dropout_gaps);
-  out.WriteI64(stats.guard_teleports);
-  out.WriteI64(stats.guard_invalid_edges);
-  out.WriteI64(stats.points_repaired);
-  out.WriteI64(stats.points_rejected);
-  out.WriteI64(stats.points_quarantine_dropped);
-  out.WriteI64(stats.trips_quarantined);
-  out.WriteI64(stats.trips_recovered);
-  out.WriteI64(stats.quarantine_evictions);
+  for (const CounterBinding& c : kCounters) out.WriteI64(stats.*c.field);
   out.WriteU64(records.size());
   for (const auto& [vehicle, last_update, blob, guard_blob] : records) {
     out.WriteI64(vehicle);
@@ -960,36 +925,10 @@ Status FleetMonitor::Restore(BinaryReader* r, RestoreInfo* info) {
         "); restoring live LSTM states against other weights would "
         "silently diverge");
   }
-  std::string user_meta = std::move(header.user_meta);
-  FleetStats stats;
-  stats.trips_started = header.trips_started;
-  stats.trips_finished = header.trips_finished;
-  stats.points_processed = header.points_processed;
-  stats.alerts_emitted = header.alerts_emitted;
-  stats.trips_evicted = header.trips_evicted;
-  stats.guard_duplicates = header.guard_duplicates;
-  stats.guard_out_of_order = header.guard_out_of_order;
-  stats.guard_clock_skew = header.guard_clock_skew;
-  stats.guard_dropout_gaps = header.guard_dropout_gaps;
-  stats.guard_teleports = header.guard_teleports;
-  stats.guard_invalid_edges = header.guard_invalid_edges;
-  stats.points_repaired = header.points_repaired;
-  stats.points_rejected = header.points_rejected;
-  stats.points_quarantine_dropped = header.points_quarantine_dropped;
-  stats.trips_quarantined = header.trips_quarantined;
-  stats.trips_recovered = header.trips_recovered;
-  stats.quarantine_evictions = header.quarantine_evictions;
   // Counters are hostile input like everything else: a lying negative
   // value would poison Stats() and the conservation identity forever.
-  if (stats.trips_started < 0 || stats.trips_finished < 0 ||
-      stats.points_processed < 0 || stats.alerts_emitted < 0 ||
-      stats.trips_evicted < 0 || stats.guard_duplicates < 0 ||
-      stats.guard_out_of_order < 0 || stats.guard_clock_skew < 0 ||
-      stats.guard_dropout_gaps < 0 || stats.guard_teleports < 0 ||
-      stats.guard_invalid_edges < 0 || stats.points_repaired < 0 ||
-      stats.points_rejected < 0 || stats.points_quarantine_dropped < 0 ||
-      stats.trips_quarantined < 0 || stats.trips_recovered < 0 ||
-      stats.quarantine_evictions < 0) {
+  if (std::any_of(header.counters.begin(), header.counters.end(),
+                  [](int64_t v) { return v < 0; })) {
     return Status::InvalidArgument(
         "snapshot service counters are negative (corrupt or forged header)");
   }
@@ -1075,31 +1014,16 @@ Status FleetMonitor::Restore(BinaryReader* r, RestoreInfo* info) {
   // can be offset by in-flight starts — deriving it keeps
   // started == finished + evicted + active exact after every restore (and
   // is identical to the stored value for a quiesced snapshot).
-  stats.trips_started = stats.trips_finished + stats.trips_evicted +
-                        static_cast<int64_t>(parsed.size());
-  ShardCounters& counters = shards_[0].counters;
-  counters.trips_started.fetch_add(stats.trips_started, kRelaxed);
-  counters.trips_finished.fetch_add(stats.trips_finished, kRelaxed);
-  counters.points_processed.fetch_add(stats.points_processed, kRelaxed);
-  counters.alerts_emitted.fetch_add(stats.alerts_emitted, kRelaxed);
-  counters.trips_evicted.fetch_add(stats.trips_evicted, kRelaxed);
-  counters.guard_duplicates.fetch_add(stats.guard_duplicates, kRelaxed);
-  counters.guard_out_of_order.fetch_add(stats.guard_out_of_order, kRelaxed);
-  counters.guard_clock_skew.fetch_add(stats.guard_clock_skew, kRelaxed);
-  counters.guard_dropout_gaps.fetch_add(stats.guard_dropout_gaps, kRelaxed);
-  counters.guard_teleports.fetch_add(stats.guard_teleports, kRelaxed);
-  counters.guard_invalid_edges.fetch_add(stats.guard_invalid_edges, kRelaxed);
-  counters.points_repaired.fetch_add(stats.points_repaired, kRelaxed);
-  counters.points_rejected.fetch_add(stats.points_rejected, kRelaxed);
-  counters.points_quarantine_dropped.fetch_add(
-      stats.points_quarantine_dropped, kRelaxed);
-  counters.trips_quarantined.fetch_add(stats.trips_quarantined, kRelaxed);
-  counters.trips_recovered.fetch_add(stats.trips_recovered, kRelaxed);
-  counters.quarantine_evictions.fetch_add(stats.quarantine_evictions,
-                                          kRelaxed);
+  header.counters[static_cast<size_t>(FleetCounter::kTripsStarted)] =
+      header.counter(FleetCounter::kTripsFinished) +
+      header.counter(FleetCounter::kTripsEvicted) +
+      static_cast<int64_t>(parsed.size());
+  for (size_t i = 0; i < io::kNumFleetCounters; ++i) {
+    shards_[0].counters[i].fetch_add(header.counters[i], kRelaxed);
+  }
 
   if (info != nullptr) {
-    info->user_meta = std::move(user_meta);
+    info->user_meta = std::move(header.user_meta);
     info->trips = std::move(restored);
   }
   return Status::OK();

@@ -30,6 +30,7 @@
 // docs/ARCHITECTURE.md.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -45,6 +46,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/rl4oasd.h"
+#include "io/fleet_snapshot.h"
 #include "serve/ingest_guard.h"
 #include "traj/types.h"
 
@@ -302,7 +304,10 @@ struct FleetConfig {
   IngestGuardConfig guard;
 };
 
-/// Service counters (monotonic since construction).
+/// Service counters (monotonic since construction). Every field but
+/// points_submitted, points_shed and alerts_delivered is one of the
+/// io::FleetCounter counters that snapshots carry; fleet.cc binds each to
+/// its field in one table.
 struct FleetStats {
   int64_t trips_started = 0;
   int64_t trips_finished = 0;
@@ -609,32 +614,6 @@ class FleetMonitor {
     IngestGuard::State guard RL4OASD_GUARDED_BY(mu);
   };
 
-  /// Monotonic service counters, bumped with relaxed ordering. Relaxed is
-  /// deliberate (audited): each counter is independent — nothing reads two
-  /// of them transactionally — and Stats() only needs per-counter totals,
-  /// which the quiesce/join edge preceding any exact assertion already
-  /// orders. Per-shard so concurrent ingest never contends on one line.
-  struct ShardCounters {
-    std::atomic<int64_t> trips_started{0};
-    std::atomic<int64_t> trips_finished{0};
-    std::atomic<int64_t> points_processed{0};
-    std::atomic<int64_t> alerts_emitted{0};
-    std::atomic<int64_t> trips_evicted{0};
-    // Ingest-guard counters (see FleetStats for semantics).
-    std::atomic<int64_t> guard_duplicates{0};
-    std::atomic<int64_t> guard_out_of_order{0};
-    std::atomic<int64_t> guard_clock_skew{0};
-    std::atomic<int64_t> guard_dropout_gaps{0};
-    std::atomic<int64_t> guard_teleports{0};
-    std::atomic<int64_t> guard_invalid_edges{0};
-    std::atomic<int64_t> points_repaired{0};
-    std::atomic<int64_t> points_rejected{0};
-    std::atomic<int64_t> points_quarantine_dropped{0};
-    std::atomic<int64_t> trips_quarantined{0};
-    std::atomic<int64_t> trips_recovered{0};
-    std::atomic<int64_t> quarantine_evictions{0};
-  };
-
   struct alignas(64) Shard {
     /// Guards `trips` (the map itself, never the Trips behind the
     /// pointers). Held only for insert/lookup/erase — rank kFleetShard, the
@@ -642,8 +621,20 @@ class FleetMonitor {
     mutable common::Mutex mu{common::lockrank::kFleetShard};
     std::unordered_map<int64_t, std::shared_ptr<Trip>> trips
         RL4OASD_GUARDED_BY(mu);
-    ShardCounters counters;
+    /// Monotonic service counters, one per io::FleetCounter, bumped with
+    /// relaxed ordering. Relaxed is deliberate (audited): each counter is
+    /// independent — nothing reads two of them transactionally — and Stats()
+    /// only needs per-counter totals, which the quiesce/join edge preceding
+    /// any exact assertion already orders. Per-shard so concurrent ingest
+    /// never contends on one line.
+    std::array<std::atomic<int64_t>, io::kNumFleetCounters> counters{};
   };
+
+  /// Bumps one of the shard's counters by `n`.
+  static void Count(Shard* shard, io::FleetCounter c, int64_t n = 1) {
+    shard->counters[static_cast<size_t>(c)].fetch_add(
+        n, std::memory_order_relaxed);
+  }
 
   size_t ShardIndexOf(int64_t vehicle_id) const {
     return static_cast<uint64_t>(vehicle_id) & (shards_.size() - 1);

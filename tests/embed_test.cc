@@ -18,11 +18,10 @@ TEST(SkipGramTest, OutputShape) {
   const auto net = SmallGrid();
   const auto ds = SmallDataset(net, 2);
   SkipGramConfig cfg;
-  cfg.dim = 16;
   cfg.epochs = 1;
   cfg.random_walks_per_edge = 1;
   cfg.walk_length = 8;
-  SkipGramTrainer trainer(&net, cfg);
+  SkipGramTrainer trainer(&net, /*dim=*/16, cfg);
   const auto table = trainer.Train(ds);
   EXPECT_EQ(table.rows(), net.NumEdges());
   EXPECT_EQ(table.cols(), 16u);
@@ -51,10 +50,9 @@ TEST(SkipGramTest, CoTraveledEdgesRankAboveRandom) {
   traj::TrajectoryGenerator gen(&net, tcfg);
   const auto ds = gen.Generate();
   SkipGramConfig cfg;
-  cfg.dim = 32;
   cfg.epochs = 2;
   cfg.walk_length = 12;
-  SkipGramTrainer trainer(&net, cfg);
+  SkipGramTrainer trainer(&net, /*dim=*/32, cfg);
   const auto table = trainer.Train(ds);
 
   Rng rng(77);
@@ -80,12 +78,11 @@ TEST(SkipGramTest, Deterministic) {
   const auto net = SmallGrid();
   const auto ds = SmallDataset(net, 2);
   SkipGramConfig cfg;
-  cfg.dim = 8;
   cfg.epochs = 1;
   cfg.random_walks_per_edge = 1;
   cfg.walk_length = 6;
-  SkipGramTrainer t1(&net, cfg);
-  SkipGramTrainer t2(&net, cfg);
+  SkipGramTrainer t1(&net, /*dim=*/8, cfg);
+  SkipGramTrainer t2(&net, /*dim=*/8, cfg);
   const auto a = t1.Train(ds);
   const auto b = t2.Train(ds);
   ASSERT_EQ(a.size(), b.size());
@@ -116,10 +113,9 @@ TEST(SkipGramTest, RepeatedNegativesTrainBitIdenticallyToTheReference) {
   // draws moves it.
   const auto ex = testing::MakeFigure1Example();
   SkipGramConfig cfg;
-  cfg.dim = 8;
   cfg.epochs = 3;
   cfg.walk_length = 6;
-  SkipGramTrainer trainer(&ex.net, cfg);
+  SkipGramTrainer trainer(&ex.net, /*dim=*/8, cfg);
   const auto table = trainer.Train(ex.dataset);
   ASSERT_EQ(table.rows(), ex.net.NumEdges());
   EXPECT_EQ(HashBytes(table), 0xded6928cdf5d50a8ULL);

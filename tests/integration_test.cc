@@ -29,7 +29,6 @@ core::Rl4OasdConfig FastConfig() {
   cfg.rsr.nrf_dim = 16;
   cfg.rsr.hidden_dim = 16;
   cfg.asd.label_dim = 16;
-  cfg.embedding.dim = 16;
   cfg.embedding.epochs = 1;
   cfg.embedding.random_walks_per_edge = 1;
   cfg.embedding.walk_length = 10;

@@ -240,7 +240,6 @@ TEST_P(IoFuzzTest, GarbageFilesNeverParse) {
     WriteFile(path, garbage);
     EXPECT_FALSE(io::LoadDataset(path).ok());
     EXPECT_FALSE(io::LoadRoadNetwork(path).ok());
-    EXPECT_FALSE(io::LoadMatrix(path).ok());
     EXPECT_FALSE(io::LoadModel(&net, path).ok());
     EXPECT_FALSE(io::DescribeModel(path).ok());
     EXPECT_FALSE(io::DescribeFleetSnapshot(path).ok());

@@ -254,22 +254,6 @@ TEST_F(IoTest, RegistryCountMismatchRejected) {
   EXPECT_FALSE(io::LoadRegistry(path, &reg2).ok());
 }
 
-TEST_F(IoTest, MatrixRoundTrip) {
-  nn::Matrix m(3, 5);
-  for (size_t i = 0; i < m.size(); ++i) {
-    m.data()[i] = static_cast<float>(i) * 0.25f - 1.0f;
-  }
-  const std::string path = Path("matrix.bin");
-  ASSERT_TRUE(io::SaveMatrix(m, path).ok());
-  auto loaded = io::LoadMatrix(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->rows(), 3u);
-  EXPECT_EQ(loaded->cols(), 5u);
-  for (size_t i = 0; i < m.size(); ++i) {
-    EXPECT_EQ(loaded->data()[i], m.data()[i]);
-  }
-}
-
 TEST_F(IoTest, WrongMagicRejected) {
   BinaryWriter w;
   w.WriteString("this is not a checkpoint");
@@ -278,7 +262,6 @@ TEST_F(IoTest, WrongMagicRejected) {
   nn::ParameterRegistry reg;
   auto st = io::LoadRegistry(path, &reg);
   ASSERT_FALSE(st.ok());
-  EXPECT_FALSE(io::LoadMatrix(path).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -365,7 +348,6 @@ class ModelBundleTest : public IoTest {
     cfg.rsr.nrf_dim = 8;
     cfg.rsr.hidden_dim = 16;
     cfg.asd.label_dim = 8;
-    cfg.embedding.dim = 16;
     cfg.embedding.epochs = 1;
     cfg.pretrain_samples = 40;
     cfg.pretrain_epochs = 1;

@@ -11,8 +11,9 @@
 // each output element's products in ascending-k order, exactly like the
 // scalar dot loops, and the build pins -ffp-contract=off, so no compiler
 // fuses one loop's multiply-adds differently from another's. The recurrent
-// and RSRNet checks sweep kWidths: register-tile edges (7/8/9, 15/16/17,
-// 63/64/65), the live workload's typical wave width 12, and B = 128/129.
+// and RSRNet checks sweep kWidths: every width 1–17 (each narrow register
+// tile and their sums, the live workload's typical wave width 12 among
+// them), the tile edges 63/64/65, and B = 128/129.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,7 +31,8 @@
 namespace rl4oasd::nn {
 namespace {
 
-constexpr int kWidths[] = {1, 2, 7, 8, 9, 12, 15, 16, 17, 63, 64, 65, 128, 129};
+constexpr int kWidths[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11,
+                           12, 13, 14, 15, 16, 17, 63, 64, 65, 128, 129};
 
 Vec RandomVec(size_t n, Rng* rng, double scale = 1.0) {
   Vec v(n);

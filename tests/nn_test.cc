@@ -174,7 +174,7 @@ TEST_P(IsaVariantTest, GemmMatchesTheBaselineBitForBit) {
   Rng rng(41);
   for (const size_t m : {1, 3, 12, 128}) {
     for (const size_t k : {1, 7, 32, 96}) {
-      for (const size_t n : {1, 5, 8, 16, 63, 64, 127, 128, 200}) {
+      for (const size_t n : {1, 2, 3, 4, 5, 7, 8, 16, 63, 64, 127, 128, 200}) {
         for (const bool strided : {false, true}) {
           const size_t lda = k + (strided ? 3 : 0);
           const size_t ldb = n + (strided ? 5 : 0);
@@ -469,20 +469,6 @@ TEST(AdamTest, ConvergesOnQuadratic) {
   for (size_t i = 0; i < 8; ++i) {
     EXPECT_NEAR(w.value.data()[i], target[i], 1e-2f);
   }
-}
-
-TEST(SgdTest, StepsDownhill) {
-  Parameter w("w", 1, 2);
-  w.value(0, 0) = 1.0f;
-  w.value(0, 1) = -1.0f;
-  ParameterRegistry reg;
-  reg.Register(&w);
-  SgdOptimizer opt(&reg, 0.1f);
-  w.grad(0, 0) = 1.0f;
-  w.grad(0, 1) = -1.0f;
-  opt.Step();
-  EXPECT_FLOAT_EQ(w.value(0, 0), 0.9f);
-  EXPECT_FLOAT_EQ(w.value(0, 1), -0.9f);
 }
 
 TEST(AdamTest, LearningRateMutable) {

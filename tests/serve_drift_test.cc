@@ -39,7 +39,6 @@ core::Rl4OasdConfig TinyConfig() {
   cfg.rsr.nrf_dim = 8;
   cfg.rsr.hidden_dim = 16;
   cfg.asd.label_dim = 8;
-  cfg.embedding.dim = 16;
   cfg.embedding.epochs = 1;
   cfg.pretrain_samples = 60;
   cfg.pretrain_epochs = 2;

@@ -54,7 +54,6 @@ core::Rl4OasdConfig TinyConfig() {
   cfg.rsr.nrf_dim = 8;
   cfg.rsr.hidden_dim = 16;
   cfg.asd.label_dim = 8;
-  cfg.embedding.dim = 16;
   cfg.embedding.epochs = 1;
   cfg.pretrain_samples = 60;
   cfg.pretrain_epochs = 2;
@@ -892,7 +891,7 @@ TEST_F(GuardTest, QuarantineStateSnapshotsBitIdentically) {
   auto desc = io::DescribeFleetSnapshot(path);
   ASSERT_TRUE(desc.ok()) << desc.status().ToString();
   EXPECT_EQ(desc->quarantined_trips, 1u);
-  EXPECT_EQ(desc->trips_quarantined, 1);
+  EXPECT_EQ(desc->counter(io::FleetCounter::kTripsQuarantined), 1);
   bool found = false;
   for (const auto& trip : desc->trips) {
     if (trip.vehicle_id == 0) {

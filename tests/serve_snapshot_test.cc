@@ -43,7 +43,6 @@ core::Rl4OasdConfig TinyConfig() {
   cfg.rsr.nrf_dim = 8;
   cfg.rsr.hidden_dim = 16;
   cfg.asd.label_dim = 8;
-  cfg.embedding.dim = 16;
   cfg.embedding.epochs = 1;
   cfg.pretrain_samples = 60;
   cfg.pretrain_epochs = 2;
@@ -337,7 +336,8 @@ TEST_F(FleetSnapshotTest, SnapshotFileRoundTripThroughDisk) {
   EXPECT_EQ(desc->model_fingerprint, io::ModelFingerprint(*model_));
   EXPECT_EQ(desc->user_meta, "disk-round-trip");
   EXPECT_EQ(desc->trips.size(), monitor.ActiveTrips());
-  EXPECT_EQ(desc->points_processed, monitor.Stats().points_processed);
+  EXPECT_EQ(desc->counter(io::FleetCounter::kPointsProcessed),
+            monitor.Stats().points_processed);
 
   auto reader = BinaryReader::OpenFile(path);
   ASSERT_TRUE(reader.ok());

@@ -4,12 +4,13 @@
 // deployed model was trained with. Fleet snapshot files (written by
 // serve::FleetMonitor::Snapshot / oasd_simulate --snapshot-every) are
 // detected by magic and described too: format version, the model
-// fingerprint the snapshot is pinned to, service counters, and the live
-// trips with their per-trip progress.
+// fingerprint the snapshot is pinned to, every service counter under its
+// metrics name, and the live trips with their per-trip progress.
 //
 //   oasd_inspect data/model.rlmb
 //   oasd_inspect data/fleet.snap
 #include <cstdio>
+#include <string_view>
 
 #include "common/flags.h"
 #include "io/fleet_snapshot.h"
@@ -31,13 +32,12 @@ int InspectFleetSnapshot(const std::string& path, bool list_trips) {
   std::printf("  live trips:        %zu (%llu points of history)\n",
               info.trips.size(),
               static_cast<unsigned long long>(info.total_points));
-  std::printf("  counters:          %lld started, %lld finished, "
-              "%lld evicted, %lld points, %lld alerts\n",
-              static_cast<long long>(info.trips_started),
-              static_cast<long long>(info.trips_finished),
-              static_cast<long long>(info.trips_evicted),
-              static_cast<long long>(info.points_processed),
-              static_cast<long long>(info.alerts_emitted));
+  std::printf("  counters:\n");
+  for (size_t i = 0; i < io::kNumFleetCounters; ++i) {
+    const std::string_view name = io::kFleetCounterNames[i];
+    std::printf("    %-34.*s %lld\n", static_cast<int>(name.size()),
+                name.data(), static_cast<long long>(info.counters[i]));
+  }
   if (list_trips) {
     std::printf("\n  trips:\n");
     for (const auto& t : info.trips) {

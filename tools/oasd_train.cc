@@ -73,7 +73,6 @@ int Main(int argc, char** argv) {
   cfg.detector.use_dl = flags.GetBool("dl");
   cfg.rsr.hidden_dim = static_cast<size_t>(flags.GetInt("hidden-dim"));
   cfg.rsr.embed_dim = static_cast<size_t>(flags.GetInt("embed-dim"));
-  cfg.embedding.dim = cfg.rsr.embed_dim;
   cfg.joint_samples = static_cast<int>(flags.GetInt("joint-samples"));
   cfg.pretrain_samples = static_cast<int>(flags.GetInt("pretrain-samples"));
   cfg.seed = static_cast<uint64_t>(flags.GetInt("seed"));

@@ -52,8 +52,14 @@ run_step(crash.log ${OASD_SIMULATE} --data-dir ${WORK_DIR}
   --snapshot-every 800 --max-points 800
   --snapshot-path ${WORK_DIR}/fleet.snap)
 
-# The snapshot must describe cleanly (exercises oasd_inspect dispatch).
+# The snapshot must describe cleanly (exercises oasd_inspect dispatch) and
+# list every counter under its metrics name; the last one stands for all.
 run_step(inspect.log ${OASD_INSPECT} ${WORK_DIR}/fleet.snap --trips)
+file(READ ${WORK_DIR}/inspect.log inspect_log)
+if(NOT inspect_log MATCHES "guard_quarantine_evictions")
+  message(FATAL_ERROR "oasd_inspect does not list guard_quarantine_evictions:"
+    "\n${inspect_log}\n(work dir kept at ${WORK_DIR})")
+endif()
 
 # Fresh-process resume from the snapshot.
 run_step(resume.log ${OASD_SIMULATE} --data-dir ${WORK_DIR}
