@@ -992,6 +992,22 @@ Status FleetMonitor::Restore(BinaryReader* r, RestoreInfo* info) {
   if (!r->AtEnd()) {
     return Status::IOError("trailing bytes after fleet snapshot payload");
   }
+  // The started count is re-derived from the conservation identity rather
+  // than trusted: a snapshot taken under live ingest reads its counters and
+  // walks its shards at slightly different instants, so the stored value
+  // can be offset by in-flight starts — deriving it keeps
+  // started == finished + evicted + active exact after every restore (and
+  // is identical to the stored value for a quiesced snapshot). Forged
+  // counters must not overflow the sum.
+  const int64_t finished = header.counter(FleetCounter::kTripsFinished);
+  const int64_t evicted = header.counter(FleetCounter::kTripsEvicted);
+  const auto live = static_cast<int64_t>(parsed.size());
+  if (finished > std::numeric_limits<int64_t>::max() - evicted - live) {
+    return Status::InvalidArgument(
+        "snapshot trip counters overflow (corrupt or forged header)");
+  }
+  header.counters[static_cast<size_t>(FleetCounter::kTripsStarted)] =
+      finished + evicted + live;
   for (Shard& shard : shards_) {
     common::MutexLock lock(&shard.mu);
     if (!shard.trips.empty()) {
@@ -1005,19 +1021,9 @@ Status FleetMonitor::Restore(BinaryReader* r, RestoreInfo* info) {
     common::MutexLock lock(&shard.mu);
     shard.trips.emplace(restored[i].vehicle_id, std::move(parsed[i]));
   }
-  active_trips_.fetch_add(static_cast<int64_t>(parsed.size()), kRelaxed);
+  active_trips_.fetch_add(live, kRelaxed);
   // Resume the service counters where the snapshot left them (folded into
-  // shard 0; Stats() aggregates), so conservation spans the restart. The
-  // started count is re-derived from the conservation identity rather than
-  // trusted: a snapshot taken under live ingest reads its counters and
-  // walks its shards at slightly different instants, so the stored value
-  // can be offset by in-flight starts — deriving it keeps
-  // started == finished + evicted + active exact after every restore (and
-  // is identical to the stored value for a quiesced snapshot).
-  header.counters[static_cast<size_t>(FleetCounter::kTripsStarted)] =
-      header.counter(FleetCounter::kTripsFinished) +
-      header.counter(FleetCounter::kTripsEvicted) +
-      static_cast<int64_t>(parsed.size());
+  // shard 0; Stats() aggregates), so conservation spans the restart.
   for (size_t i = 0; i < io::kNumFleetCounters; ++i) {
     shards_[0].counters[i].fetch_add(header.counters[i], kRelaxed);
   }

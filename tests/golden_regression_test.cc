@@ -259,8 +259,9 @@ TEST_F(GoldenRegressionTest, FleetSnapshotMatchesGoldenFile) {
   // one edge id outside the network; and the active-trip cap sits below the
   // peak concurrency, so admissions evict the stalest trip. At the snapshot
   // no snapshotted counter is zero and no two are equal, so a counter
-  // written, read or restored under another counter's name changes the
-  // golden.
+  // written, read, restored or reported under another counter's name
+  // changes the golden: it holds the snapshot's hash, the metrics lines
+  // and the typed FleetStats view field by field.
   serve::FleetConfig cfg;
   cfg.max_active_trips = 11;
   serve::IngestGuardConfig& g = cfg.guard;
@@ -319,7 +320,6 @@ TEST_F(GoldenRegressionTest, FleetSnapshotMatchesGoldenFile) {
     num_waves = std::max(num_waves, k + streams[k].points.size());
   }
   std::vector<serve::FleetPoint> wave;
-  std::string payload;
   for (size_t w = 0; w < num_waves / 2; ++w) {
     if (w < streams.size()) {
       const traj::MapMatchedTrajectory& t = *streams[w].traj;
@@ -342,7 +342,6 @@ TEST_F(GoldenRegressionTest, FleetSnapshotMatchesGoldenFile) {
   BinaryWriter snapshot;
   ASSERT_TRUE(monitor.Snapshot(&snapshot, "golden").ok());
   const std::string metrics = monitor.DumpMetrics();
-
   const serve::FleetStats stats = monitor.Stats();
 
   // A fresh monitor restored from the snapshot reports the same counters

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -400,6 +401,18 @@ TEST_P(FleetSnapshotFuzz, NegativeCounterRejectedOnRestore) {
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
         << "counter " << i << ": " << st.ToString();
   }
+}
+
+TEST_P(FleetSnapshotFuzz, TripCounterOverflowRejectedOnRestore) {
+  BuildSnapshot("fuzz");
+  // Restore re-derives trips_started as finished + evicted + live trips;
+  // forged maximal counters must be refused, not overflow the sum.
+  const int64_t huge = std::numeric_limits<int64_t>::max();
+  PatchPayloadWithValidCrc(path_, 24 + 8 * 1, &huge, 8);  // trips_finished
+  PatchPayloadWithValidCrc(path_, 24 + 8 * 4, &huge, 8);  // trips_evicted
+  const Status st = TryRestore();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FleetSnapshotFuzz,
