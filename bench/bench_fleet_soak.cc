@@ -570,15 +570,7 @@ int main(int argc, char** argv) {
         ts += 2.0;
       }
       const std::vector<serve::FleetPoint> pts = injector.Perturb(clean);
-      const serve::ChaosCounts& c = injector.counts();
-      report.chaos.input += c.input;
-      report.chaos.emitted += c.emitted;
-      report.chaos.dropped += c.dropped;
-      report.chaos.duplicated += c.duplicated;
-      report.chaos.reordered += c.reordered;
-      report.chaos.skewed += c.skewed;
-      report.chaos.teleported += c.teleported;
-      report.chaos.drop_gaps += c.drop_gaps;
+      report.chaos += injector.counts();
       for (const serve::FleetPoint& p : pts) (void)chaos_monitor.Submit(p);
       (void)chaos_monitor.SubmitEndTrip(v);
     }

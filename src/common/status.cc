@@ -20,8 +20,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "Resource exhausted";
     case StatusCode::kInternal:
       return "Internal error";
-    case StatusCode::kNotImplemented:
-      return "Not implemented";
   }
   return "Unknown";
 }

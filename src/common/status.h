@@ -21,7 +21,6 @@ enum class StatusCode {
   kFailedPrecondition,
   kResourceExhausted,
   kInternal,
-  kNotImplemented,
 };
 
 /// Returns a human-readable name for a status code ("OK", "Invalid argument", ...).
@@ -73,9 +72,6 @@ class Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status NotImplemented(std::string msg) {
-    return Status(StatusCode::kNotImplemented, std::move(msg));
   }
 
   bool ok() const { return rep_ == nullptr; }

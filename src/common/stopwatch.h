@@ -50,7 +50,6 @@ class TimingAccumulator {
   double total_seconds() const { return total_; }
   int64_t count() const { return count_; }
   double MeanSeconds() const { return count_ == 0 ? 0.0 : total_ / count_; }
-  double MeanMillis() const { return MeanSeconds() * 1e3; }
   void Reset() {
     total_ = 0.0;
     count_ = 0;

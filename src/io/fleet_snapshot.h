@@ -71,6 +71,9 @@ enum class FleetCounter : uint8_t {
 inline constexpr size_t kNumFleetCounters =
     static_cast<size_t>(FleetCounter::kQuarantineEvictions) + 1;
 
+/// The largest service counter Restore accepts; no sum of them overflows.
+inline constexpr int64_t kMaxFleetCounter = int64_t{1} << 60;
+
 /// Each counter's metrics name, indexed by FleetCounter.
 inline constexpr std::string_view kFleetCounterNames[] = {
     "fleet_trips_started",

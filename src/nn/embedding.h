@@ -23,10 +23,6 @@ class Embedding {
     RL4_CHECK_LT(id, vocab());
     return param_.value.Row(id);
   }
-  float* MutableLookup(size_t id) {
-    RL4_CHECK_LT(id, vocab());
-    return param_.value.Row(id);
-  }
 
   /// Batched gather: `out` is resized to (ids.size() x dim) sample-major —
   /// row b holds the embedding of ids[b] — ready to feed the batched

@@ -97,6 +97,19 @@ struct ChaosCounts {
   /// Expected guard dropout-gap events: drop runs exposed by a later
   /// emitted point of the same vehicle.
   int64_t drop_gaps = 0;
+
+  /// Field-wise sum, for tallying Perturb calls across trips and threads.
+  ChaosCounts& operator+=(const ChaosCounts& o) {
+    input += o.input;
+    emitted += o.emitted;
+    dropped += o.dropped;
+    duplicated += o.duplicated;
+    reordered += o.reordered;
+    skewed += o.skewed;
+    teleported += o.teleported;
+    drop_gaps += o.drop_gaps;
+    return *this;
+  }
 };
 
 /// Deterministic stream perturber. Not thread-safe; one injector per
@@ -122,8 +135,6 @@ class ChaosInjector {
   const std::unordered_map<int64_t, int64_t>& perturbed_by_vehicle() const {
     return perturbed_;
   }
-
-  const ChaosSpec& spec() const { return spec_; }
 
  private:
   /// A reorder hold: re-emitted once `overtaken` reaches reorder_window.

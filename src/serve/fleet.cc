@@ -925,12 +925,13 @@ Status FleetMonitor::Restore(BinaryReader* r, RestoreInfo* info) {
         "); restoring live LSTM states against other weights would "
         "silently diverge");
   }
-  // Counters are hostile input like everything else: a lying negative
-  // value would poison Stats() and the conservation identity forever.
-  if (std::any_of(header.counters.begin(), header.counters.end(),
-                  [](int64_t v) { return v < 0; })) {
-    return Status::InvalidArgument(
-        "snapshot service counters are negative (corrupt or forged header)");
+  // Counters are hostile input like everything else: a negative one would
+  // poison Stats() forever, and one near INT64_MAX wrap on its next bump.
+  for (const int64_t v : header.counters) {
+    if (v < 0 || v > io::kMaxFleetCounter) {
+      return Status::InvalidArgument(
+          "snapshot service counters out of range (corrupt or forged header)");
+    }
   }
 
   uint64_t num_trips;
@@ -997,17 +998,12 @@ Status FleetMonitor::Restore(BinaryReader* r, RestoreInfo* info) {
   // walks its shards at slightly different instants, so the stored value
   // can be offset by in-flight starts — deriving it keeps
   // started == finished + evicted + active exact after every restore (and
-  // is identical to the stored value for a quiesced snapshot). Forged
-  // counters must not overflow the sum.
-  const int64_t finished = header.counter(FleetCounter::kTripsFinished);
-  const int64_t evicted = header.counter(FleetCounter::kTripsEvicted);
+  // is identical to the stored value for a quiesced snapshot). The counter
+  // ceiling keeps the sum far from overflow.
   const auto live = static_cast<int64_t>(parsed.size());
-  if (finished > std::numeric_limits<int64_t>::max() - evicted - live) {
-    return Status::InvalidArgument(
-        "snapshot trip counters overflow (corrupt or forged header)");
-  }
   header.counters[static_cast<size_t>(FleetCounter::kTripsStarted)] =
-      finished + evicted + live;
+      header.counter(FleetCounter::kTripsFinished) +
+      header.counter(FleetCounter::kTripsEvicted) + live;
   for (Shard& shard : shards_) {
     common::MutexLock lock(&shard.mu);
     if (!shard.trips.empty()) {

@@ -391,15 +391,18 @@ TEST_P(FleetSnapshotFuzz, NegativeCounterRejectedOnRestore) {
   BuildSnapshot("fuzz");
   const std::string pristine = ReadFile(path_);
   // The 17 service counters sit at payload offsets 24, 32, ..., 152 (after
-  // magic, version, fingerprint and the 4-byte-prefixed meta "fuzz").
-  const int64_t lie = -5;
-  for (size_t i = 0; i < 17; ++i) {
-    WriteFile(path_, pristine);
-    PatchPayloadWithValidCrc(path_, 24 + 8 * i, &lie, 8);
-    const Status st = TryRestore();
-    ASSERT_FALSE(st.ok()) << "counter " << i;
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
-        << "counter " << i << ": " << st.ToString();
+  // magic, version, fingerprint and the 4-byte-prefixed meta "fuzz"). A
+  // negative value and one whose next bump would wrap are both lies.
+  const int64_t lies[] = {-5, std::numeric_limits<int64_t>::max()};
+  for (const int64_t lie : lies) {
+    for (size_t i = 0; i < 17; ++i) {
+      WriteFile(path_, pristine);
+      PatchPayloadWithValidCrc(path_, 24 + 8 * i, &lie, 8);
+      const Status st = TryRestore();
+      ASSERT_FALSE(st.ok()) << "counter " << i << " = " << lie;
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+          << "counter " << i << " = " << lie << ": " << st.ToString();
+    }
   }
 }
 

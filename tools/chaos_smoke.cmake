@@ -7,16 +7,19 @@
 #      per-vehicle alert multiset and identical guard/fleet metrics (the
 #      injector is seeded per worker and trips are strided deterministically
 #      across threads).
-#   2. Mode equivalence — the async staged-ingest run (--async) of the same
-#      seeded chaos stream produces the same alert multiset as the batched
-#      synchronous run (the guard runs below both ingest paths).
+#   2. Mode equivalence — per-point Feed (--batch 0), FeedBatch waves
+#      (--batch 4), and the async staged pipeline (--async, --async
+#      --batch 4) of the same seeded chaos stream produce the same alert
+#      multiset (every mode runs the one replay loop, and the guard runs
+#      below every ingest path). The same holds for perturbed
+#      --matched-ingest streams, per-point against --async --batch 4.
 #   3. Conservation — the metrics dump satisfies
 #      trips_started == trips_finished + trips_evicted + trips_active
 #      and sheds nothing under the default kBlock policy.
 #
 # On failure the work dir — dataset, model, and all replay logs — is left
-# behind for triage; the CI Release job uploads it as an artifact. On
-# success it is removed.
+# behind for triage; the CI jobs upload it as an artifact. On success it is
+# removed.
 #
 # Expected -D variables: OASD_GEN OASD_TRAIN OASD_SIMULATE WORK_DIR
 
@@ -55,17 +58,18 @@ run_step(train.log ${OASD_TRAIN} --data-dir ${WORK_DIR}
 # (--chaos arms the guard in repair mode with a malformed budget of 8).
 set(spec "drop=0.03,dup=0.04,reorder=0.03,skew=0.02,teleport=0.03,seed=42")
 
-# Two identical seeded runs (determinism), then the async-ingest twin of the
-# first (mode equivalence).
-run_step(chaos_a.log ${OASD_SIMULATE} --data-dir ${WORK_DIR}
-  --model ${WORK_DIR}/model.rlmb --threads 2 --batch 4 --print-alerts
-  --chaos ${spec})
-run_step(chaos_b.log ${OASD_SIMULATE} --data-dir ${WORK_DIR}
-  --model ${WORK_DIR}/model.rlmb --threads 2 --batch 4 --print-alerts
-  --chaos ${spec})
-run_step(chaos_async.log ${OASD_SIMULATE} --data-dir ${WORK_DIR}
-  --model ${WORK_DIR}/model.rlmb --threads 2 --async --print-alerts
-  --chaos ${spec})
+# Two identical seeded runs (determinism), then the same stream through the
+# other ingest modes (mode equivalence).
+set(simulate ${OASD_SIMULATE} --data-dir ${WORK_DIR}
+  --model ${WORK_DIR}/model.rlmb --threads 2 --print-alerts --chaos ${spec})
+run_step(chaos_a.log ${simulate} --batch 4)
+run_step(chaos_b.log ${simulate} --batch 4)
+run_step(chaos_feed.log ${simulate} --batch 0)
+run_step(chaos_async.log ${simulate} --async)
+run_step(chaos_async_batch.log ${simulate} --async --batch 4)
+run_step(chaos_matched_feed.log ${simulate} --matched-ingest --batch 0)
+run_step(chaos_matched_async_batch.log ${simulate} --matched-ingest --async
+  --batch 4)
 
 # Collects lines matching `pattern` from a log, sorted (alert arrival order
 # across worker threads is scheduling-dependent; the multiset is not).
@@ -88,7 +92,6 @@ endfunction()
 
 matching_lines(alerts_a chaos_a.log "^ALERT ")
 matching_lines(alerts_b chaos_b.log "^ALERT ")
-matching_lines(alerts_async chaos_async.log "^ALERT ")
 
 list(LENGTH alerts_a n_alerts)
 if(n_alerts EQUAL 0)
@@ -102,11 +105,24 @@ if(NOT "${alerts_a}" STREQUAL "${alerts_b}")
     "\n--- run A ---\n${alerts_a}\n--- run B ---\n${alerts_b}\n"
     "(work dir kept at ${WORK_DIR})")
 endif()
-if(NOT "${alerts_a}" STREQUAL "${alerts_async}")
+foreach(mode feed async async_batch)
+  matching_lines(alerts_mode chaos_${mode}.log "^ALERT ")
+  if(NOT "${alerts_a}" STREQUAL "${alerts_mode}")
+    message(FATAL_ERROR
+      "ingest-mode divergence under chaos: --batch 4 and ${mode} disagree"
+      "\n--- --batch 4 ---\n${alerts_a}\n--- ${mode} ---\n${alerts_mode}\n"
+      "(work dir kept at ${WORK_DIR})")
+  endif()
+endforeach()
+matching_lines(alerts_matched chaos_matched_feed.log "^ALERT ")
+matching_lines(alerts_matched_async chaos_matched_async_batch.log "^ALERT ")
+list(LENGTH alerts_matched n_matched)
+if(n_matched EQUAL 0 OR NOT "${alerts_matched}" STREQUAL
+   "${alerts_matched_async}")
   message(FATAL_ERROR
-    "sync/async divergence under chaos: batched and staged ingest disagree"
-    "\n--- batched ---\n${alerts_a}\n--- async ---\n${alerts_async}\n"
-    "(work dir kept at ${WORK_DIR})")
+    "matched-ingest chaos replay is vacuous or mode-dependent: per-point "
+    "and --async --batch 4 disagree\n--- per-point ---\n${alerts_matched}\n"
+    "--- async ---\n${alerts_matched_async}\n(work dir kept at ${WORK_DIR})")
 endif()
 
 # The guard and fleet counters in the metrics dump must also be identical
@@ -157,6 +173,6 @@ if(dups EQUAL 0 OR skews EQUAL 0)
 endif()
 
 message(STATUS "chaos smoke OK: ${n_alerts} alerts identical across seeded "
-  "runs and ingest modes; ${started} trips conserved "
-  "(${quarantined} quarantined)")
+  "runs and ingest modes (${n_matched} over matched streams); ${started} "
+  "trips conserved (${quarantined} quarantined)")
 file(REMOVE_RECURSE ${WORK_DIR})

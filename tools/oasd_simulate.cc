@@ -4,22 +4,27 @@
 // deployment-shaped counterpart of oasd_detect (which streams one
 // trajectory at a time).
 //
+// Every mode runs one replay loop. Each replay thread keeps a rolling
+// window of max(--batch, 1) live trips and feeds one point of every live
+// trip per wave. A trip's stream is its clean edges at the paper's 2 s
+// sampling rate, or under --matched-ingest the live GPS front end's output:
+// noisy fixes sampled along the ground-truth route (seeded per vehicle),
+// matched back to edges by the streaming map matcher. --chaos then perturbs
+// the stream with the thread's seeded fault injector. The ingest mode only
+// picks where a wave goes:
+//
+//   --batch 0   per-point Feed, one trip at a time;
+//   --batch N   FeedBatch, so the wave's model steps fuse;
+//   --async     SubmitBatch/SubmitEndTrip onto the monitor's self-batching
+//               shard workers, with async alert delivery; Quiesce() drains
+//               the pipeline before every snapshot and the summary.
+//
 // Durable serving: --snapshot-every N writes a fleet snapshot (live LSTM
 // states, DL windows, RNG positions, counters, and the replay cursor) every
-// N points; --resume-from restores one and continues the replay exactly
-// where it stopped — the remaining alert stream is bit-identical to the
-// uninterrupted run (both require --threads 1, the deterministic replay).
-//
-// Async serving: --async stages every point through the monitor's
-// self-batching shard ingest workers (Submit/SubmitEndTrip, non-blocking)
-// with alert delivery on the async delivery worker; the replay threads
-// become pure producers and Quiesce() drains the pipeline before the
-// summary.
-//
-// Matched ingest: --matched-ingest replays each trip through the live GPS
-// front end — noisy fixes sampled along the ground-truth route (seeded per
-// vehicle), matched back to edges by the streaming map matcher — so the
-// monitor ingests what a deployment would actually see.
+// N points; --resume-from restores one, regenerates each restored trip's
+// stream and continues it at the point the snapshot recorded — the
+// remaining alert stream is bit-identical to the uninterrupted run (both
+// require --threads 1, the deterministic replay).
 //
 //   oasd_simulate --data-dir data --model data/model.rlmb --threads 4
 //   oasd_simulate ... --async --ingest-workers 4
@@ -30,6 +35,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -76,6 +82,13 @@ bool DecodeCursor(const std::string& meta, size_t* next) {
   return end != nullptr && *end == '\0';
 }
 
+/// One trip's replay stream and the start time StartTrip receives (the
+/// first clean or matched point's; chaos may drop or move that point).
+struct TripStream {
+  double start_time = 0.0;
+  std::vector<serve::FleetPoint> points;
+};
+
 int Main(int argc, char** argv) {
   FlagSet flags("oasd_simulate",
                 "replay a dataset as a live fleet through a trained model");
@@ -87,13 +100,16 @@ int Main(int argc, char** argv) {
   flags.AddInt("repeat", 1, "replay the dataset this many times");
   flags.AddInt("max-active", 100000, "active-trip cap (evicts stalest)");
   flags.AddInt("batch", 0,
-               "concurrent trips per ingest thread, fed one point each per "
-               "FeedBatch wave so the model steps fuse (0 = per-point Feed)");
+               "live trips per replay thread; each wave feeds one point of "
+               "every live trip through FeedBatch (SubmitBatch under "
+               "--async) so the model steps fuse (0 = one trip at a time, "
+               "through per-point Feed unless --async)");
   flags.AddBool("print-alerts", false, "print each alert as it fires");
   flags.AddBool("async", false,
                 "stage ingest through the self-batching shard workers "
-                "(Submit/SubmitEndTrip) with async alert delivery instead "
-                "of feeding inline; --threads become producer threads");
+                "(SubmitBatch/SubmitEndTrip) with async alert delivery "
+                "instead of feeding inline; --threads become producer "
+                "threads");
   flags.AddInt("ingest-workers", 4,
                "ingest worker threads behind --async (clamped to the "
                "shard count)");
@@ -137,6 +153,54 @@ int Main(int argc, char** argv) {
   tools::ParseFlagsOrExit(&flags, argc, argv);
 
   const std::string data_dir = flags.GetString("data-dir");
+  const int threads = std::max(1, static_cast<int>(flags.GetInt("threads")));
+  const int repeat = std::max(1, static_cast<int>(flags.GetInt("repeat")));
+  const size_t batch_size =
+      static_cast<size_t>(std::max<int64_t>(0, flags.GetInt("batch")));
+  const bool async = flags.GetBool("async");
+  const bool adapt = flags.GetBool("adapt");
+  const bool matched_ingest = flags.GetBool("matched-ingest");
+  const double gps_noise = flags.GetDouble("gps-noise");
+  const std::string chaos_arg = flags.GetString("chaos");
+  const bool chaos = !chaos_arg.empty();
+  const int64_t snapshot_every =
+      std::max<int64_t>(0, flags.GetInt("snapshot-every"));
+  const int64_t max_points = std::max<int64_t>(0, flags.GetInt("max-points"));
+  const std::string snapshot_path = flags.GetString("snapshot-path").empty()
+                                        ? data_dir + "/fleet.snap"
+                                        : flags.GetString("snapshot-path");
+  const std::string resume_path = flags.GetString("resume-from");
+  const bool durable_mode =
+      snapshot_every > 0 || max_points > 0 || !resume_path.empty();
+
+  // The pairs the replay refuses, each for a cause outside the replay loop
+  // (tools/README.md keeps the same table). Every other combination runs.
+  const struct {
+    bool refused;
+    const char* why;
+  } refusals[] = {
+      {durable_mode && threads != 1,
+       "--snapshot-every/--resume-from/--max-points require --threads 1 "
+       "(the deterministic replay)"},
+      {durable_mode && adapt,
+       "--adapt cannot be combined with snapshot/resume — a hot-swap "
+       "changes the serving model, and Restore fingerprint-guards the "
+       "snapshot against the model it was taken with"},
+      {durable_mode && chaos,
+       "--chaos is incompatible with snapshot/resume/--max-points — the "
+       "guard drops points, so a trip's position in its perturbed stream "
+       "cannot be recovered from the points the snapshot recorded"},
+      {async && adapt,
+       "--async cannot be combined with --adapt — the drift adapter's "
+       "harvest of asynchronously delivered trips is untested"},
+  };
+  for (const auto& r : refusals) {
+    if (r.refused) {
+      std::fprintf(stderr, "error: %s\n", r.why);
+      return 1;
+    }
+  }
+
   const std::string net_path = flags.GetString("network").empty()
                                    ? data_dir + "/network.bin"
                                    : flags.GetString("network");
@@ -179,8 +243,6 @@ int Main(int argc, char** argv) {
   };
   Sink sink(flags.GetBool("print-alerts"));
 
-  const std::string chaos_arg = flags.GetString("chaos");
-  const bool chaos = !chaos_arg.empty();
   serve::ChaosSpec chaos_spec;
   if (chaos) {
     chaos_spec = tools::ExitIfError(serve::ParseChaosSpec(chaos_arg));
@@ -200,13 +262,11 @@ int Main(int argc, char** argv) {
     g.teleport_policy = serve::GuardPolicy::kRepair;
     g.malformed_budget = 8;
   }
-  const bool async = flags.GetBool("async");
   if (async) {
     fleet_cfg.ingest_workers = static_cast<size_t>(
         std::max<int64_t>(1, flags.GetInt("ingest-workers")));
     fleet_cfg.async_alerts = true;
   }
-  const bool adapt = flags.GetBool("adapt");
   std::shared_ptr<const core::Rl4Oasd> shared_model = std::move(model);
   std::unique_ptr<serve::DriftAdapter> adapter;
   std::unique_ptr<serve::FleetMonitor> plain_monitor;
@@ -229,64 +289,6 @@ int Main(int argc, char** argv) {
   serve::FleetMonitor& monitor =
       adapt ? *adapter->monitor() : *plain_monitor;
 
-  int threads = std::max(1, static_cast<int>(flags.GetInt("threads")));
-  const int repeat = std::max(1, static_cast<int>(flags.GetInt("repeat")));
-  size_t batch_size =
-      static_cast<size_t>(std::max<int64_t>(0, flags.GetInt("batch")));
-
-  const int64_t snapshot_every =
-      std::max<int64_t>(0, flags.GetInt("snapshot-every"));
-  const int64_t max_points = std::max<int64_t>(0, flags.GetInt("max-points"));
-  const std::string snapshot_path = flags.GetString("snapshot-path").empty()
-                                        ? data_dir + "/fleet.snap"
-                                        : flags.GetString("snapshot-path");
-  const std::string resume_path = flags.GetString("resume-from");
-  const bool durable_mode =
-      snapshot_every > 0 || max_points > 0 || !resume_path.empty();
-  if (durable_mode && threads != 1) {
-    std::fprintf(stderr,
-                 "error: --snapshot-every/--resume-from/--max-points require "
-                 "--threads 1 (the deterministic replay)\n");
-    return 1;
-  }
-  if (durable_mode && adapt) {
-    std::fprintf(stderr,
-                 "error: --adapt cannot be combined with snapshot/resume — "
-                 "a hot-swap changes the serving model, and Restore "
-                 "fingerprint-guards the snapshot against the model it was "
-                 "taken with\n");
-    return 1;
-  }
-  if (chaos && durable_mode) {
-    std::fprintf(stderr,
-                 "error: --chaos is incompatible with snapshot/resume/"
-                 "--max-points — the replay cursor indexes the clean "
-                 "dataset, not a perturbed stream\n");
-    return 1;
-  }
-  if (async && (durable_mode || batch_size > 0 || adapt)) {
-    std::fprintf(stderr,
-                 "error: --async is incompatible with --batch (the ingest "
-                 "workers form their own micro-batch waves), with "
-                 "snapshot/resume/--max-points (the deterministic replay), "
-                 "and with --adapt (the drift adapter harvests labels from "
-                 "synchronous sink callbacks)\n");
-    return 1;
-  }
-  const bool matched_ingest = flags.GetBool("matched-ingest");
-  const double gps_noise = flags.GetDouble("gps-noise");
-  if (matched_ingest && (durable_mode || chaos || batch_size > 0)) {
-    std::fprintf(stderr,
-                 "error: --matched-ingest supports the per-point and --async "
-                 "paths only — the snapshot cursor and --chaos index the "
-                 "clean edge stream, and the batched waves assume "
-                 "ground-truth trip lengths\n");
-    return 1;
-  }
-  // Snapshot/resume rides the batched loop; --batch 0 degenerates to
-  // one-trip waves, which FeedBatch runs through the scalar path.
-  if (durable_mode && batch_size == 0) batch_size = 1;
-
   // The GPS front end for --matched-ingest: one immutable matcher shared by
   // every replay thread (each thread brings its own streaming scratch).
   std::unique_ptr<mapmatch::HmmMapMatcher> gps_matcher;
@@ -296,32 +298,22 @@ int Main(int argc, char** argv) {
   std::atomic<int64_t> matched_trips{0};
   std::atomic<int64_t> unmatched_trips{0};
 
-  // Resumed state, keyed back to dataset positions via the deterministic
+  // Restored trips, keyed back to dataset positions via the deterministic
   // vid = rep * size + index assignment below.
-  struct ResumedTrip {
-    int64_t vid = 0;
-    size_t pos = 0;
-  };
-  std::vector<ResumedTrip> resumed;
+  serve::FleetMonitor::RestoreInfo restored;
   size_t resume_cursor = 0;
-  bool has_resume = false;
   if (!resume_path.empty()) {
     auto reader = tools::ExitIfError(BinaryReader::OpenFile(resume_path));
-    serve::FleetMonitor::RestoreInfo rinfo;
-    tools::ExitIfError(monitor.Restore(&reader, &rinfo));
-    if (!DecodeCursor(rinfo.user_meta, &resume_cursor)) {
+    tools::ExitIfError(monitor.Restore(&reader, &restored));
+    if (!DecodeCursor(restored.user_meta, &resume_cursor)) {
       std::fprintf(stderr,
                    "error: snapshot carries no oasd_simulate replay cursor "
                    "(metadata: \"%s\")\n",
-                   rinfo.user_meta.c_str());
+                   restored.user_meta.c_str());
       return 1;
     }
-    for (const auto& t : rinfo.trips) {
-      resumed.push_back({t.vehicle_id, t.points_fed});
-    }
-    has_resume = true;
     std::printf("resumed %zu live trips (cursor %zu) from %s\n",
-                resumed.size(), resume_cursor, resume_path.c_str());
+                restored.trips.size(), resume_cursor, resume_path.c_str());
   }
 
   std::printf("replaying %zu trips x%d across %d threads%s...\n",
@@ -358,217 +350,132 @@ int Main(int argc, char** argv) {
         spec.seed = chaos_spec.seed + static_cast<uint64_t>(th);
         injector = std::make_unique<serve::ChaosInjector>(spec, &net);
       }
-      // Materializes one trip's clean point stream, perturbs it, and rolls
-      // the injector's ground truth into this thread's tally.
-      auto perturb_trip = [&](int64_t vid,
-                              const traj::MapMatchedTrajectory* t) {
-        std::vector<serve::FleetPoint> pts;
-        pts.reserve(t->edges.size());
-        double ts = t->start_time;
-        for (traj::EdgeId e : t->edges) {
-          pts.push_back({vid, e, ts});
-          ts += 2.0;  // paper's sampling rate
-        }
-        pts = injector->Perturb(pts);
-        const serve::ChaosCounts& c = injector->counts();
-        serve::ChaosCounts& tally = chaos_by_thread[static_cast<size_t>(th)];
-        tally.input += c.input;
-        tally.emitted += c.emitted;
-        tally.dropped += c.dropped;
-        tally.duplicated += c.duplicated;
-        tally.reordered += c.reordered;
-        tally.skewed += c.skewed;
-        tally.teleported += c.teleported;
-        tally.drop_gaps += c.drop_gaps;
-        return pts;
-      };
-      // --matched-ingest: drive the trip through the GPS front end. The
-      // sampler is seeded per vehicle (not per thread), so the noisy fixes
-      // — and therefore the matched stream — do not depend on --threads.
-      std::unique_ptr<mapmatch::StreamingMatcher> stream;
+      std::unique_ptr<mapmatch::StreamingMatcher> matcher;
       if (matched_ingest) {
-        stream = std::make_unique<mapmatch::StreamingMatcher>(
-            gps_matcher.get());
+        matcher =
+            std::make_unique<mapmatch::StreamingMatcher>(gps_matcher.get());
       }
-      auto match_trip = [&](int64_t vid, const traj::MapMatchedTrajectory* t) {
-        traj::GpsSamplerConfig gps_cfg;
-        gps_cfg.noise_sigma_m = gps_noise;
-        traj::GpsSampler sampler(&net, gps_cfg,
-                                 /*seed=*/1234567u + static_cast<uint64_t>(vid));
-        traj::RawTrajectory raw = sampler.Sample(*t);
-        stream->Reset(vid);
-        for (const traj::RawPoint& pt : raw.points) stream->MatchPoint(pt);
-        std::vector<serve::FleetPoint> pts;
-        auto matched = stream->Finish();
-        if (!matched.ok() || matched->edges.size() < 2) {
-          unmatched_trips.fetch_add(1);
-          return pts;
+      // Builds one trip's stream. The GPS sampler is seeded per vehicle
+      // (not per thread), so the matched stream does not depend on
+      // --threads; nullopt when the fixes match nothing.
+      auto make_stream = [&](int64_t vid, const traj::MapMatchedTrajectory& t)
+          -> std::optional<TripStream> {
+        const traj::MapMatchedTrajectory* route = &t;
+        traj::MapMatchedTrajectory matched;
+        if (matcher) {
+          traj::GpsSamplerConfig gps_cfg;
+          gps_cfg.noise_sigma_m = gps_noise;
+          traj::GpsSampler sampler(
+              &net, gps_cfg, /*seed=*/1234567u + static_cast<uint64_t>(vid));
+          matcher->Reset(vid);
+          for (const traj::RawPoint& pt : sampler.Sample(t).points) {
+            matcher->MatchPoint(pt);
+          }
+          auto result = matcher->Finish();
+          if (!result.ok() || result->edges.size() < 2) return std::nullopt;
+          matched = std::move(result).value();
+          route = &matched;
         }
-        matched_trips.fetch_add(1);
-        double ts = matched->start_time;
-        pts.reserve(matched->edges.size());
-        for (traj::EdgeId e : matched->edges) {
-          pts.push_back({vid, e, ts});
+        TripStream s{route->start_time, {}};
+        s.points.reserve(route->edges.size());
+        double ts = route->start_time;
+        for (traj::EdgeId e : route->edges) {
+          s.points.push_back({vid, e, ts});
           ts += 2.0;  // paper's sampling rate
         }
-        return pts;
+        if (injector) {
+          s.points = injector->Perturb(s.points);
+          chaos_by_thread[static_cast<size_t>(th)] += injector->counts();
+        }
+        return s;
       };
-      if (async) {
-        // Producer role: stage everything and move on. The shard workers
-        // form the micro-batch waves; a full staging lane applies the
-        // configured backpressure (kBlock by default, so nothing drops).
-        for (const auto& [vid, t] : todo) {
-          if (matched_ingest) {
-            const std::vector<serve::FleetPoint> pts = match_trip(vid, t);
-            if (pts.empty()) continue;
-            if (!monitor.StartTrip(vid, t->sd(), pts.front().timestamp).ok()) {
-              continue;
-            }
-            for (const serve::FleetPoint& p : pts) (void)monitor.Submit(p);
-            (void)monitor.SubmitEndTrip(vid);
-            points.fetch_add(static_cast<int64_t>(pts.size()));
-            continue;
-          }
-          if (!monitor.StartTrip(vid, t->sd(), t->start_time).ok()) continue;
-          if (injector) {
-            const std::vector<serve::FleetPoint> pts = perturb_trip(vid, t);
-            for (const serve::FleetPoint& p : pts) (void)monitor.Submit(p);
-            (void)monitor.SubmitEndTrip(vid);
-            points.fetch_add(static_cast<int64_t>(pts.size()));
-            continue;
-          }
-          double ts = t->start_time;
-          for (traj::EdgeId e : t->edges) {
-            (void)monitor.Submit({vid, e, ts});
-            ts += 2.0;  // paper's sampling rate
-          }
+      auto end_trip = [&](int64_t vid) {
+        if (async) {
           (void)monitor.SubmitEndTrip(vid);
-          points.fetch_add(static_cast<int64_t>(t->edges.size()));
-        }
-        return;
-      }
-      if (batch_size == 0) {
-        for (const auto& [vid, t] : todo) {
-          if (matched_ingest) {
-            const std::vector<serve::FleetPoint> pts = match_trip(vid, t);
-            if (pts.empty()) continue;
-            if (!monitor.StartTrip(vid, t->sd(), pts.front().timestamp).ok()) {
-              continue;
-            }
-            for (const serve::FleetPoint& p : pts) {
-              (void)monitor.Feed(p.vehicle_id, p.edge, p.timestamp);
-            }
-            (void)monitor.EndTrip(vid);
-            points.fetch_add(static_cast<int64_t>(pts.size()));
-            continue;
-          }
-          if (!monitor.StartTrip(vid, t->sd(), t->start_time).ok()) continue;
-          if (injector) {
-            const std::vector<serve::FleetPoint> pts = perturb_trip(vid, t);
-            for (const serve::FleetPoint& p : pts) {
-              (void)monitor.Feed(p.vehicle_id, p.edge, p.timestamp);
-            }
-            (void)monitor.EndTrip(vid);
-            points.fetch_add(static_cast<int64_t>(pts.size()));
-            continue;
-          }
-          double ts = t->start_time;
-          for (traj::EdgeId e : t->edges) {
-            (void)monitor.Feed(vid, e, ts);
-            ts += 2.0;  // paper's sampling rate
-          }
+        } else {
           (void)monitor.EndTrip(vid);
-          points.fetch_add(static_cast<int64_t>(t->edges.size()));
         }
-        return;
-      }
-      // Batched ingest: a rolling window of `batch_size` concurrent trips,
-      // one point per live trip per wave, so FeedBatch fuses the whole
-      // wave's model steps (a batch of one vehicle's points would fall
-      // back to scalar one-point waves).
-      struct Live {
-        const traj::MapMatchedTrajectory* t;
-        int64_t vid;
-        size_t pos = 0;
-        double ts = 0.0;
-        /// Under --chaos, the trip's perturbed stream; fed by position
-        /// instead of indexing the clean edge vector.
-        std::vector<serve::FleetPoint> pts;
       };
+
+      // The rolling window: one point of every live trip per wave, so a
+      // batched wave fuses the trips' model steps (a batch of one vehicle's
+      // points would fall back to scalar one-point waves).
+      struct Live {
+        int64_t vid;
+        std::vector<serve::FleetPoint> points;
+        size_t pos = 0;
+      };
+      const size_t window = std::max<size_t>(batch_size, 1);
       std::vector<Live> live;
       size_t next = 0;
-      if (has_resume) {
-        // Rebuild the rolling window from the restored trips: each resumed
-        // vid maps back to its dataset trajectory (vid = rep * size + i)
-        // and continues from the exact point the snapshot recorded. The
-        // model is fingerprint-guarded by Restore, but the dataset is not
-        // stamped — validate every cursor against the actual trajectory so
-        // a resume against the wrong (or regenerated) dataset fails
-        // cleanly instead of indexing past an edge vector.
+      if (!resume_path.empty()) {
+        // Rebuild the window from the restored trips: each vid maps back to
+        // its dataset trajectory (vid = rep * size + i), whose regenerated
+        // stream continues at the point the snapshot recorded. The model is
+        // fingerprint-guarded by Restore, but the dataset is not stamped —
+        // validate every cursor against the regenerated stream so a resume
+        // against the wrong (or regenerated) dataset fails cleanly instead
+        // of indexing past it.
         next = resume_cursor;
-        for (const ResumedTrip& rt : resumed) {
-          const auto& t =
-              input[static_cast<size_t>(rt.vid) % input.size()].traj;
-          if (rt.pos >= t.edges.size() || next > todo.size()) {
+        for (const auto& rt : restored.trips) {
+          std::optional<TripStream> s = make_stream(
+              rt.vehicle_id,
+              input[static_cast<size_t>(rt.vehicle_id) % input.size()].traj);
+          const size_t len = s ? s->points.size() : 0;
+          if (rt.points_fed >= len || next > todo.size()) {
             std::fprintf(stderr,
                          "error: snapshot does not match the replay dataset "
-                         "(vehicle %lld has %zu points of history, "
-                         "trajectory has %zu edges; cursor %zu of %zu) — "
-                         "resume with the dataset the snapshot was taken "
+                         "(vehicle %lld has %zu points of history, its "
+                         "replay stream has %zu points; cursor %zu of %zu) "
+                         "— resume with the dataset the snapshot was taken "
                          "from\n",
-                         static_cast<long long>(rt.vid), rt.pos,
-                         t.edges.size(), next, todo.size());
+                         static_cast<long long>(rt.vehicle_id),
+                         rt.points_fed, len, next, todo.size());
             std::exit(1);
           }
-          live.push_back({&t, rt.vid, rt.pos,
-                          t.start_time + 2.0 * static_cast<double>(rt.pos),
-                          {}});
+          live.push_back({rt.vehicle_id, std::move(s->points), rt.points_fed});
         }
       }
-      int64_t fed_points = 0;
-      int64_t next_snap = snapshot_every;
       auto refill = [&] {
-        while (live.size() < batch_size && next < todo.size()) {
+        while (live.size() < window && next < todo.size()) {
           const auto& [vid, t] = todo[next++];
-          if (!monitor.StartTrip(vid, t->sd(), t->start_time).ok()) continue;
-          Live l{t, vid, 0, t->start_time, {}};
-          if (injector) {
-            l.pts = perturb_trip(vid, t);
-            if (l.pts.empty()) {
-              // Every point dropped: the trip starts and ends empty.
-              (void)monitor.EndTrip(vid);
-              continue;
-            }
+          std::optional<TripStream> s = make_stream(vid, *t);
+          if (matcher) (s ? matched_trips : unmatched_trips).fetch_add(1);
+          if (!s || !monitor.StartTrip(vid, t->sd(), s->start_time).ok()) {
+            continue;
           }
-          live.push_back(std::move(l));
+          if (s->points.empty()) {
+            end_trip(vid);  // chaos dropped every point
+            continue;
+          }
+          live.push_back({vid, std::move(s->points)});
         }
       };
+      int64_t fed_points = 0;
+      int64_t next_snap = snapshot_every;
       std::vector<serve::FleetPoint> wave;
-      wave.reserve(batch_size);
+      wave.reserve(window);
       refill();
       while (!live.empty()) {
         wave.clear();
-        for (const Live& l : live) {
-          wave.push_back(injector
-                             ? l.pts[l.pos]
-                             : serve::FleetPoint{l.vid, l.t->edges[l.pos],
-                                                 l.ts});
+        for (const Live& l : live) wave.push_back(l.points[l.pos]);
+        if (async) {
+          (void)monitor.SubmitBatch(wave);
+        } else if (batch_size == 0) {
+          for (const serve::FleetPoint& p : wave) {
+            (void)monitor.Feed(p.vehicle_id, p.edge, p.timestamp);
+          }
+        } else {
+          (void)monitor.FeedBatch(wave);
         }
-        (void)monitor.FeedBatch(wave);
         fed_points += static_cast<int64_t>(wave.size());
         // Count points as fed, not at trip completion: a resumed run must
         // not claim the pre-crash history and a --max-points run must
         // count its live trips' points, or the points/s summary lies.
         points.fetch_add(static_cast<int64_t>(wave.size()));
-        for (Live& l : live) {
-          ++l.pos;
-          l.ts += 2.0;
-        }
         for (size_t k = live.size(); k-- > 0;) {
-          const size_t len =
-              injector ? live[k].pts.size() : live[k].t->edges.size();
-          if (live[k].pos == len) {
-            (void)monitor.EndTrip(live[k].vid);
+          if (++live[k].pos == live[k].points.size()) {
+            end_trip(live[k].vid);
             live.erase(live.begin() + static_cast<ptrdiff_t>(k));
           }
         }
@@ -577,7 +484,9 @@ int Main(int argc, char** argv) {
           next_snap += snapshot_every;
           // After refill, trips todo[0, next) are started or done, so the
           // cursor is exactly `next`; a resume restores the live window and
-          // continues the replay from here.
+          // continues the replay from here. Staged points must land first,
+          // or the snapshot would miss them.
+          if (async) monitor.Quiesce();
           BinaryWriter w;
           tools::ExitIfError(monitor.Snapshot(&w, EncodeCursor(next)));
           tools::ExitIfError(w.WriteToFile(snapshot_path));
@@ -628,16 +537,7 @@ int Main(int argc, char** argv) {
   }
   if (chaos) {
     serve::ChaosCounts cc;
-    for (const serve::ChaosCounts& c : chaos_by_thread) {
-      cc.input += c.input;
-      cc.emitted += c.emitted;
-      cc.dropped += c.dropped;
-      cc.duplicated += c.duplicated;
-      cc.reordered += c.reordered;
-      cc.skewed += c.skewed;
-      cc.teleported += c.teleported;
-      cc.drop_gaps += c.drop_gaps;
-    }
+    for (const serve::ChaosCounts& c : chaos_by_thread) cc += c;
     std::printf("  chaos:      %lld clean -> %lld perturbed points "
                 "(%lld dropped, %lld duplicated, %lld reordered, "
                 "%lld skewed, %lld teleported, %lld gap events)\n",
