@@ -2,6 +2,12 @@
 // co-traveled segments closer than random pairs.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "embed/skipgram.h"
 #include "roadnet/grid_city.h"
 #include "traj/generator.h"
@@ -85,10 +91,9 @@ TEST(SkipGramTest, Deterministic) {
   SkipGramTrainer t2(&net, /*dim=*/8, cfg);
   const auto a = t1.Train(ds);
   const auto b = t2.Train(ds);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_FLOAT_EQ(a.data()[i], b.data()[i]);
-  }
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
 }
 
 /// FNV-1a 64 over a matrix's float bytes: a bit-exact pin of a training
@@ -119,6 +124,99 @@ TEST(SkipGramTest, RepeatedNegativesTrainBitIdenticallyToTheReference) {
   const auto table = trainer.Train(ex.dataset);
   ASSERT_EQ(table.rows(), ex.net.NumEdges());
   EXPECT_EQ(HashBytes(table), 0xded6928cdf5d50a8ULL);
+}
+
+/// A production-shaped corpus: the default ~4,900-segment grid city, as
+/// the benches' cities use, with trajectories over 8 SD pairs and one short
+/// walk per edge. Against thousands of segments the negatives of a pair are
+/// almost always distinct, so these pins run the trainer's interleaved
+/// path where the Figure 1 pin runs its sequential one.
+struct ProductionCorpus {
+  roadnet::RoadNetwork net;
+  traj::Dataset dataset;
+};
+
+const ProductionCorpus& SharedProductionCorpus() {
+  static const ProductionCorpus* corpus = [] {
+    auto* c = new ProductionCorpus;
+    c->net = roadnet::BuildGridCity(roadnet::GridCityConfig{});
+    traj::GeneratorConfig tcfg;
+    tcfg.num_sd_pairs = 8;
+    tcfg.min_trajs_per_pair = 10;
+    tcfg.max_trajs_per_pair = 20;
+    tcfg.seed = 23;
+    traj::TrajectoryGenerator gen(&c->net, tcfg);
+    c->dataset = gen.Generate();
+    return c;
+  }();
+  return *corpus;
+}
+
+uint64_t TrainProductionShaped(int negatives, int window) {
+  const auto& corpus = SharedProductionCorpus();
+  SkipGramConfig cfg;
+  cfg.epochs = 1;
+  cfg.random_walks_per_edge = 1;
+  cfg.walk_length = 6;
+  cfg.negatives = negatives;
+  cfg.window = window;
+  SkipGramTrainer trainer(&corpus.net, /*dim=*/32, cfg);
+  const auto table = trainer.Train(corpus.dataset);
+  EXPECT_EQ(table.rows(), corpus.net.NumEdges());
+  return HashBytes(table);
+}
+
+struct TrainerPin {
+  int negatives;
+  int window;
+  uint64_t hash;
+};
+
+// Captured from the single-threaded trainer that drew each pair's negatives
+// inline; any change to the update arithmetic or to the RNG stream moves
+// them.
+constexpr TrainerPin kProductionPins[] = {
+    {0, 1, 0x2b3d2e67993f06acULL},  {0, 4, 0xf2a56cf3b91632d4ULL},
+    {1, 1, 0xb2356c9d0c08b077ULL},  {1, 4, 0x673d29258d23269cULL},
+    {5, 1, 0x194716a630330010ULL},  {5, 4, 0xbd46cdae570a8f87ULL},
+    {12, 1, 0x51608d0412bb917eULL}, {12, 4, 0x5f429545585bc153ULL},
+};
+
+TEST(SkipGramTest, ProductionShapedTrainingIsBitPinned) {
+  for (const TrainerPin& pin : kProductionPins) {
+    EXPECT_EQ(TrainProductionShaped(pin.negatives, pin.window), pin.hash)
+        << "negatives " << pin.negatives << " window " << pin.window;
+  }
+}
+
+TEST(SkipGramTest, OneCpuAffinityTrainsTheSameBits) {
+  // Everything Train starts inherits the calling thread's affinity mask, so
+  // this runs the whole trainer on one CPU: it must neither spin forever
+  // nor change a bit.
+#if defined(__linux__)
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  if (sched_getaffinity(0, sizeof(saved), &saved) != 0) {
+    GTEST_SKIP() << "sched_getaffinity is unavailable here";
+  }
+  int first = -1;
+  for (int cpu = 0; cpu < CPU_SETSIZE && first < 0; ++cpu) {
+    if (CPU_ISSET(cpu, &saved)) first = cpu;
+  }
+  ASSERT_GE(first, 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  if (sched_setaffinity(0, sizeof(one), &one) != 0) {
+    GTEST_SKIP() << "sched_setaffinity is unavailable here";
+  }
+  const TrainerPin& pin = kProductionPins[5];  // negatives 5, window 4
+  const uint64_t got = TrainProductionShaped(pin.negatives, pin.window);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(got, pin.hash);
+#else
+  GTEST_SKIP() << "thread affinity is Linux-only here";
+#endif
 }
 
 }  // namespace
