@@ -33,7 +33,7 @@ struct CityData {
 
 /// Chengdu-like synthetic city (paper Table II: 4,885 segments, anomalous
 /// ratio 0.7%; the synthetic anomaly ratio is raised to 4% so the test split
-/// holds enough anomalies for stable metric estimates — see EXPERIMENTS.md).
+/// holds enough anomalies for stable metric estimates).
 inline CityData MakeChengduLike(int num_pairs = 40, uint64_t seed = 12) {
   CityData city;
   city.name = "Chengdu";
@@ -92,7 +92,7 @@ inline CityData MakeXianLike(int num_pairs = 32, uint64_t seed = 77) {
 /// The tuned RL4OASD configuration for the synthetic workload. alpha/delta
 /// differ from the paper's 0.5/0.4 because the synthetic route-popularity
 /// profile differs (3 normal routes at ~0.55/0.27/0.18; the parameter-study
-/// bench sweeps both) — see DESIGN.md.
+/// bench sweeps both).
 inline core::Rl4OasdConfig TunedConfig() {
   core::Rl4OasdConfig cfg;
   cfg.preprocess.alpha = 0.1;

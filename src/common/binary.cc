@@ -1,5 +1,7 @@
 #include "common/binary.h"
 
+#include <array>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -7,32 +9,54 @@ namespace rl4oasd {
 
 namespace {
 
-// Generates the reflected CRC-32 lookup table once.
-const uint32_t* Crc32Table() {
-  static uint32_t table[256];
-  static const bool init = [] {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables for the reflected polynomial 0xEDB88320: table 0 is
+/// the classic bytewise table, and table s advances a byte's contribution
+/// through s more zero bytes, so eight table lookups fold eight input bytes
+/// into the register at once (Kounavis & Berry, 2008).
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    return true;
-  }();
-  (void)init;
-  return table;
+    t[0][i] = c;
+  }
+  for (size_t s = 1; s < 8; ++s) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
+/// Little-endian 32-bit load from unaligned bytes (one mov on x86).
+inline uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
-  const uint32_t* table = Crc32Table();
+  const Crc32Tables& t = kCrc32Tables;
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    // Byte b of the block sits 7 - b bytes before the block's end.
+    const uint32_t lo = LoadLe32(p) ^ c;
+    const uint32_t hi = LoadLe32(p + 4);
+    c = 0;
+    for (int b = 0; b < 4; ++b) {
+      const int shift = 8 * b;
+      c ^= t[7 - b][(lo >> shift) & 0xFFu] ^ t[3 - b][(hi >> shift) & 0xFFu];
+    }
   }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -77,9 +101,17 @@ void BinaryWriter::WriteI32Vector(const std::vector<int32_t>& v) {
   for (int32_t x : v) WriteI32(x);
 }
 
+void BinaryWriter::WriteF32Array(const float* v, size_t n) {
+  if constexpr (std::endian::native == std::endian::little) {
+    WriteBytes(v, n * sizeof(float));
+  } else {
+    for (size_t i = 0; i < n; ++i) WriteF32(v[i]);
+  }
+}
+
 void BinaryWriter::WriteF32Vector(const std::vector<float>& v) {
   WriteU32(static_cast<uint32_t>(v.size()));
-  for (float x : v) WriteF32(x);
+  WriteF32Array(v.data(), v.size());
 }
 
 Status BinaryWriter::WriteToFile(const std::string& path) const {
@@ -218,6 +250,18 @@ Status BinaryReader::ReadI32Vector(std::vector<int32_t>* v) {
   return Status::OK();
 }
 
+Status BinaryReader::ReadF32Array(float* out, size_t n) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return ReadBytes(out, n * sizeof(float));
+  } else {
+    if (remaining() / sizeof(float) < n) {
+      return Status::OutOfRange("read past end of buffer");
+    }
+    for (size_t i = 0; i < n; ++i) RL4_RETURN_NOT_OK(ReadF32(&out[i]));
+    return Status::OK();
+  }
+}
+
 Status BinaryReader::ReadF32Vector(std::vector<float>* v) {
   uint32_t len;
   RL4_RETURN_NOT_OK(ReadU32(&len));
@@ -225,8 +269,7 @@ Status BinaryReader::ReadF32Vector(std::vector<float>* v) {
     return Status::OutOfRange("vector length exceeds remaining payload");
   }
   v->resize(len);
-  for (uint32_t i = 0; i < len; ++i) RL4_RETURN_NOT_OK(ReadF32(&(*v)[i]));
-  return Status::OK();
+  return ReadF32Array(v->data(), len);
 }
 
 }  // namespace rl4oasd

@@ -33,6 +33,10 @@ class BinaryWriter {
   void WriteString(std::string_view s);
   void WriteBytes(const void* data, size_t n);
 
+  /// `n` floats, little-endian, without a length prefix: one append on a
+  /// little-endian host.
+  void WriteF32Array(const float* v, size_t n);
+
   /// Convenience: length-prefixed vector of fixed-width values.
   void WriteI32Vector(const std::vector<int32_t>& v);
   void WriteF32Vector(const std::vector<float>& v);
@@ -70,6 +74,10 @@ class BinaryReader {
   /// remaining payload before allocation.
   Status ReadString(std::string* s);
   Status ReadBytes(void* out, size_t n);
+
+  /// Reads `n` floats written by WriteF32Array: one bounds check, then one
+  /// copy on a little-endian host. Nothing is written to `out` on failure.
+  Status ReadF32Array(float* out, size_t n);
 
   Status ReadI32Vector(std::vector<int32_t>* v);
   Status ReadF32Vector(std::vector<float>* v);

@@ -116,7 +116,10 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
 CategoricalSampler::CategoricalSampler(const std::vector<double>& weights) {
   const size_t n = weights.size();
   weights_.resize(n);
-  prefix_.resize(n + 1);
+  // kSearchWindow +inf entries past prefix_[n]: Sample's window may read
+  // that far, and they compare above every draw.
+  prefix_.assign(n + 1 + kSearchWindow,
+                 std::numeric_limits<double>::infinity());
   prefix_[0] = 0.0;
   // The clamped ascending sum is the same chain Categorical computes for
   // `total`, so total_ matches it bit-for-bit.
@@ -149,12 +152,27 @@ size_t CategoricalSampler::Sample(Rng* rng) const {
   if (total_ <= 0.0) return rng->UniformInt(n);
   const double r = rng->Uniform() * total_;
   // upper_bound over prefix_[1..n], narrowed to r's bucket: every prefix
-  // sum before guide_[j] lies in a lower bucket, so is < r, and
-  // prefix_[guide_[j + 1]] lies in a higher one, so is > r.
+  // sum before guide_[j] lies in a lower bucket, so is < r, and every one
+  // from guide_[j + 1] on lies in a higher one (or is the +inf padding), so
+  // is > r. Within the bucket the sums are sorted, so upper_bound is
+  // guide_[j] plus the number of them <= r — and counting a fixed window
+  // from guide_[j] counts exactly those, since the window's entries past
+  // the bucket are all > r. The count compiles to compares and adds with no
+  // branch on the draw; a crowded bucket takes the binary search.
   const size_t j = Bucket(r);
-  const auto it = std::upper_bound(prefix_.begin() + guide_[j],
-                                   prefix_.begin() + guide_[j + 1], r);
-  const size_t idx = static_cast<size_t>(it - prefix_.begin()) - 1;
+  size_t idx = guide_[j];
+  if (guide_[j + 1] - idx <= kSearchWindow) {
+    const double* p = prefix_.data() + idx;
+    size_t below = 0;
+    for (size_t k = 0; k < kSearchWindow; ++k) below += p[k] <= r ? 1 : 0;
+    idx += below;
+  } else {
+    idx = static_cast<size_t>(
+        std::upper_bound(prefix_.begin() + idx,
+                         prefix_.begin() + guide_[j + 1], r) -
+        prefix_.begin());
+  }
+  --idx;
   if (idx < n && r - prefix_[idx] > guard_ && prefix_[idx + 1] - r > guard_) {
     return idx;
   }

@@ -105,10 +105,11 @@ class Rng {
 /// of prefix-sum positions its draws can resolve to. The table is built by
 /// evaluating the same monotone bucket function on the prefix sums that a
 /// draw evaluates on r, so the range provably contains upper_bound's answer
-/// — no rounding slack — and the binary search inside it returns exactly
-/// the whole-array answer. A bucket holds one or two prefix sums on
-/// average; a dominated weight vector crowds thousands into one, which the
-/// binary search keeps at O(log n). The guard check doubles as a check of
+/// — no rounding slack — and the search inside it returns exactly the
+/// whole-array answer. A bucket holds one or two prefix sums on average,
+/// resolved by a branch-free count over a fixed window; a dominated weight
+/// vector crowds thousands into one, which a binary search keeps at
+/// O(log n). The guard check doubles as a check of
 /// the search: only the true bracket passes it, so a search error could
 /// cost a scan but never change an index.
 class CategoricalSampler {
@@ -130,8 +131,14 @@ class CategoricalSampler {
                                                   : num_buckets_ - 1;
   }
 
+  /// Buckets of at most this many prefix sums resolve by counting a fixed
+  /// window instead of a binary search (see Sample).
+  static constexpr size_t kSearchWindow = 4;
+
   std::vector<double> weights_;  // clamped copy (w <= 0 -> 0), scan fallback
-  std::vector<double> prefix_;   // prefix_[i] = clamped sum of weights_[0..i)
+  /// prefix_[i] = clamped sum of weights_[0..i) for i <= n, then
+  /// kSearchWindow entries of +inf.
+  std::vector<double> prefix_;
   double total_ = 0.0;           // == Categorical's own clamped sum
   double guard_ = 0.0;           // boundary band where the scan is replayed
   size_t num_buckets_ = 0;       // n (built only when total_ > 0)

@@ -1,9 +1,14 @@
 #include "embed/skipgram.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <thread>
 
 #include "common/logging.h"
+#include "common/mutex.h"
+#include "nn/sgns.h"
 
 namespace rl4oasd::embed {
 
@@ -32,10 +37,6 @@ SkipGramTrainer::SkipGramTrainer(const roadnet::RoadNetwork* net, size_t dim,
     aux_w_.data()[i] = static_cast<float>(rng_.Uniform(-scale, scale));
   }
   unigram_.assign(n, 1.0);
-  const size_t max_targets = static_cast<size_t>(config_.negatives) + 1;
-  grad_in_.resize(dim_);
-  targets_.reserve(max_targets);
-  dots_.resize(max_targets);
 }
 
 std::vector<std::vector<EdgeId>> SkipGramTrainer::BuildCorpus(
@@ -73,74 +74,235 @@ std::vector<std::vector<EdgeId>> SkipGramTrainer::BuildCorpus(
 
 namespace {
 
-/// out[t] = Dot(a, m.Row(rows[t]), m.cols()) for N rows at once: N
-/// independent chains, each summed in ascending index order exactly like
-/// nn::Dot, so each result is the same float; interleaving them only hides
-/// the add latency of one serial chain behind the others.
-template <size_t N>
-void InterleavedDots(const float* a, const nn::Matrix& m, const EdgeId* rows,
-                     float* out) {
-  const float* row[N];
-  for (size_t t = 0; t < N; ++t) row[t] = m.Row(rows[t]);
-  float acc[N] = {};
-  for (size_t d = 0; d < m.cols(); ++d) {
-    const float ad = a[d];
-    for (size_t t = 0; t < N; ++t) acc[t] += ad * row[t][d];
+/// One unit of the trainer's work, fixed by the random stream alone. With
+/// targets it is a (center, context) pair: its targets are the context, then
+/// the kept negatives in draw order. With none it is the auxiliary step of
+/// the center's token, which follows the token's pairs.
+struct Plan {
+  EdgeId center = 0;
+  uint32_t count = 0;     // targets
+  bool distinct = false;  // no target repeats
+  double lr = 0.0;
+};
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+/// A bounded single-producer single-consumer ring of plans. The producer
+/// publishes its progress every kPublishBatch plans and the consumer retires
+/// its own at the same stride, so the two threads share a cache line about
+/// once per batch rather than once per plan. A side that finds nothing to do
+/// spins kSpins times, then blocks on a condition variable until the other
+/// side has made a wake batch of progress (a quarter of the ring) or the
+/// stream ends: under a one-CPU affinity mask or an oversubscribed host the
+/// threads take turns in long runs instead of spinning against each other.
+/// Each side publishes all of its progress before it blocks, so both can
+/// never wait at once.
+class PlanRing {
+ public:
+  explicit PlanRing(size_t max_targets)
+      : stride_(max_targets),
+        slots_(SlotsFor(max_targets)),
+        wake_batch_(slots_ / 4),
+        plans_(slots_),
+        targets_(slots_ * stride_) {}
+
+  // ---- Producer side ----
+
+  /// The next slot to fill, once the ring has room; `*targets` receives its
+  /// target array. Push publishes it.
+  Plan* Claim(EdgeId** targets) {
+    if (written_ - retired_view_ == slots_) {
+      retired_view_ = retired_.load(std::memory_order_acquire);
+      if (written_ - retired_view_ == slots_) {
+        Publish();
+        retired_view_ = Await(retired_, written_ - slots_ + wake_batch_,
+                              &producer_wake_at_);
+      }
+    }
+    const size_t slot = written_ & (slots_ - 1);
+    *targets = &targets_[slot * stride_];
+    return &plans_[slot];
   }
-  for (size_t t = 0; t < N; ++t) out[t] = acc[t];
+
+  void Push() {
+    if (++written_ % kPublishBatch == 0) Publish();
+  }
+
+  /// Publishes the last plans and ends the stream.
+  void Close() {
+    common::MutexLock lock(&mu_);
+    published_.store(written_, std::memory_order_seq_cst);
+    closed_.store(true, std::memory_order_seq_cst);
+    cv_.NotifyAll();
+  }
+
+  // ---- Consumer side ----
+
+  /// The next plan in stream order, or nullptr once the stream has ended.
+  /// The plan and its `*targets` stay valid until the next call, which
+  /// retires them.
+  const Plan* Pop(const EdgeId** targets) {
+    if (read_ == published_view_) {
+      published_view_ = published_.load(std::memory_order_acquire);
+      if (read_ == published_view_) {
+        Retire();
+        published_view_ =
+            Await(published_, read_ + wake_batch_, &consumer_wake_at_);
+        if (read_ == published_view_) return nullptr;
+      }
+    }
+    if (read_ % kPublishBatch == 0) Retire();
+    // The producer wrote the coming slots on its own core: ask for them a
+    // few plans early so the cross-core transfer overlaps this plan's work.
+    const size_t ahead = (read_ + kPrefetchPlans) & (slots_ - 1);
+    __builtin_prefetch(&plans_[ahead]);
+    __builtin_prefetch(&targets_[ahead * stride_]);
+    const size_t slot = read_++ & (slots_ - 1);
+    *targets = &targets_[slot * stride_];
+    return &plans_[slot];
+  }
+
+ private:
+  static constexpr uint64_t kPublishBatch = 32;
+  static constexpr uint64_t kPrefetchPlans = 8;
+  static constexpr int kSpins = 64;
+  static constexpr uint64_t kNever = ~uint64_t{0};
+
+  /// Slots: a power of two from 64 to 1,024 whose plans and targets fit in
+  /// 96 KiB, below glibc's default 128 KiB mmap threshold. Freeing an
+  /// mmapped block raises glibc's dynamic threshold to its size, which then
+  /// changes where every later large allocation of the process lands.
+  static size_t SlotsFor(size_t max_targets) {
+    const size_t slot_bytes = sizeof(Plan) + max_targets * sizeof(EdgeId);
+    size_t slots = 1024;
+    while (slots > 64 && slots * slot_bytes > 96 * 1024) slots /= 2;
+    return slots;
+  }
+
+  void Publish() {
+    published_.store(written_, std::memory_order_seq_cst);
+    if (written_ >= consumer_wake_at_.load(std::memory_order_seq_cst)) {
+      common::MutexLock lock(&mu_);
+      cv_.NotifyAll();
+    }
+  }
+
+  void Retire() {
+    retired_.store(read_, std::memory_order_seq_cst);
+    if (read_ >= producer_wake_at_.load(std::memory_order_seq_cst)) {
+      common::MutexLock lock(&mu_);
+      cv_.NotifyAll();
+    }
+  }
+
+  /// Waits until `counter` reaches `target` or the stream is closed, and
+  /// returns the counter's value. The waiter stores its target in `wake_at`
+  /// before its last check, and the other side stores its counter before
+  /// reading `wake_at` (all sequentially consistent), so at least one of
+  /// them sees the other: no wake-up is lost.
+  uint64_t Await(const std::atomic<uint64_t>& counter, uint64_t target,
+                 std::atomic<uint64_t>* wake_at) {
+    for (int spin = 0; spin < kSpins; ++spin) {
+      const uint64_t value = counter.load(std::memory_order_acquire);
+      if (value >= target || closed_.load(std::memory_order_acquire)) {
+        return counter.load(std::memory_order_acquire);
+      }
+      CpuRelax();
+    }
+    common::MutexLock lock(&mu_);
+    wake_at->store(target, std::memory_order_seq_cst);
+    uint64_t value;
+    while ((value = counter.load(std::memory_order_seq_cst)) < target &&
+           !closed_.load(std::memory_order_seq_cst)) {
+      cv_.Wait(&mu_);
+    }
+    wake_at->store(kNever, std::memory_order_relaxed);
+    return counter.load(std::memory_order_acquire);
+  }
+
+  const size_t stride_;
+  const size_t slots_;
+  const uint64_t wake_batch_;
+  std::vector<Plan> plans_;
+  std::vector<EdgeId> targets_;
+
+  // Written by the producer.
+  alignas(64) std::atomic<uint64_t> published_{0};
+  std::atomic<uint64_t> producer_wake_at_{kNever};
+  uint64_t written_ = 0;
+  uint64_t retired_view_ = 0;
+  // Written by the consumer.
+  alignas(64) std::atomic<uint64_t> retired_{0};
+  std::atomic<uint64_t> consumer_wake_at_{kNever};
+  uint64_t read_ = 0;
+  uint64_t published_view_ = 0;
+
+  alignas(64) std::atomic<bool> closed_{false};
+  common::Mutex mu_;
+  common::CondVar cv_;
+};
+
+/// The trainer's random stream, in the order one thread would draw it: per
+/// epoch a shuffle of the corpus, per token its learning rate and window,
+/// per (center, context) pair its negatives through `sampler` (a draw equal
+/// to the center or the context is skipped). Reads no trained vector.
+void StreamPlans(const SkipGramConfig& config,
+                 const CategoricalSampler& sampler,
+                 std::vector<std::vector<EdgeId>>* corpus, Rng* rng,
+                 PlanRing* ring) {
+  size_t total_tokens = 0;
+  for (const auto& seq : *corpus) total_tokens += seq.size();
+  const size_t total_steps =
+      std::max<size_t>(1, total_tokens * config.epochs);
+  size_t step_count = 0;
+  EdgeId* targets = nullptr;
+  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+    rng->Shuffle(corpus);
+    for (const auto& seq : *corpus) {
+      for (size_t i = 0; i < seq.size(); ++i) {
+        const double progress =
+            static_cast<double>(step_count++) / total_steps;
+        const double lr =
+            std::max(config.min_lr, config.lr * (1.0 - progress));
+        const int win = 1 + static_cast<int>(rng->UniformInt(
+                                static_cast<uint64_t>(config.window)));
+        const EdgeId center = seq[i];
+        for (int d = -win; d <= win; ++d) {
+          if (d == 0) continue;
+          const int64_t j = static_cast<int64_t>(i) + d;
+          if (j < 0 || j >= static_cast<int64_t>(seq.size())) continue;
+          const EdgeId context = seq[j];
+          Plan* plan = ring->Claim(&targets);
+          uint32_t count = 0;
+          targets[count++] = context;
+          for (int k = 0; k < config.negatives; ++k) {
+            const EdgeId neg = static_cast<EdgeId>(sampler.Sample(rng));
+            if (neg == context || neg == center) continue;
+            targets[count++] = neg;
+          }
+          // The context never equals a kept negative, so only negatives
+          // can repeat.
+          bool distinct = true;
+          for (uint32_t t = 2; t < count && distinct; ++t) {
+            distinct = std::find(targets + 1, targets + t, targets[t]) ==
+                       targets + t;
+          }
+          *plan = Plan{center, count, distinct, lr};
+          ring->Push();
+        }
+        *ring->Claim(&targets) = Plan{center, 0, true, lr};
+        ring->Push();
+      }
+    }
+  }
+  ring->Close();
 }
 
 }  // namespace
-
-void SkipGramTrainer::UpdatePair(EdgeId center, EdgeId context, double lr) {
-  const size_t dim = dim_;
-  float* v_in = in_.Row(center);
-  // The pair's targets: the context (label 1), then the negatives (label
-  // 0) in draw order. Negative sampling is the inner loop of the whole
-  // embed phase; neg_sampler_ replays rng_.Categorical(unigram_)
-  // draw-for-draw. Drawing every negative before the first dot product
-  // moves no draw, since nothing else reads rng_ inside a pair.
-  targets_.clear();
-  targets_.push_back(context);
-  for (int k = 0; k < config_.negatives; ++k) {
-    const EdgeId neg = static_cast<EdgeId>(neg_sampler_->Sample(&rng_));
-    if (neg == context || neg == center) continue;
-    targets_.push_back(neg);
-  }
-  const size_t count = targets_.size();
-  bool distinct = true;  // the context never equals a kept negative
-  for (size_t t = 2; t < count && distinct; ++t) {
-    const auto at = targets_.begin() + static_cast<std::ptrdiff_t>(t);
-    distinct = std::find(targets_.begin() + 1, at, *at) == at;
-  }
-  // Distinct targets each update a different out_ row, and v_in changes
-  // only after the last target, so every dot product can run before any
-  // update. A repeated target must see the previous update to its row:
-  // then each dot runs just before its own update, in order.
-  if (distinct) {
-    size_t t = 0;
-    for (; t + 4 <= count; t += 4) {
-      InterleavedDots<4>(v_in, out_, &targets_[t], &dots_[t]);
-    }
-    if (t + 2 <= count) {
-      InterleavedDots<2>(v_in, out_, &targets_[t], &dots_[t]);
-      t += 2;
-    }
-    if (t < count) InterleavedDots<1>(v_in, out_, &targets_[t], &dots_[t]);
-  }
-  std::fill(grad_in_.begin(), grad_in_.end(), 0.0f);
-  for (size_t t = 0; t < count; ++t) {
-    float* v_out = out_.Row(targets_[t]);
-    const float dot = distinct ? dots_[t] : nn::Dot(v_in, v_out, dim);
-    const float label = t == 0 ? 1.0f : 0.0f;
-    const float g = (nn::Sigmoid(dot) - label) * static_cast<float>(lr);
-    for (size_t d = 0; d < dim; ++d) {
-      grad_in_[d] += g * v_out[d];
-      v_out[d] -= g * v_in[d];
-    }
-  }
-  for (size_t d = 0; d < dim; ++d) v_in[d] -= grad_in_[d];
-}
 
 void SkipGramTrainer::UpdateAux(EdgeId center, double lr) {
   const size_t dim = dim_;
@@ -164,34 +326,31 @@ void SkipGramTrainer::UpdateAux(EdgeId center, double lr) {
 nn::Matrix SkipGramTrainer::Train(const traj::Dataset& dataset) {
   auto corpus = BuildCorpus(dataset);
   RL4_CHECK(!corpus.empty());
-  // unigram_ is fixed for the rest of training; precompute the sampler.
-  neg_sampler_ = std::make_unique<CategoricalSampler>(unigram_);
-  size_t total_tokens = 0;
-  for (const auto& seq : corpus) total_tokens += seq.size();
-  const size_t total_steps =
-      std::max<size_t>(1, total_tokens * config_.epochs);
-  size_t step_count = 0;
-
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    rng_.Shuffle(&corpus);
-    for (const auto& seq : corpus) {
-      for (size_t i = 0; i < seq.size(); ++i) {
-        const double progress =
-            static_cast<double>(step_count++) / total_steps;
-        const double lr =
-            std::max(config_.min_lr, config_.lr * (1.0 - progress));
-        const int win = 1 + static_cast<int>(rng_.UniformInt(
-                                static_cast<uint64_t>(config_.window)));
-        for (int d = -win; d <= win; ++d) {
-          if (d == 0) continue;
-          const int64_t j = static_cast<int64_t>(i) + d;
-          if (j < 0 || j >= static_cast<int64_t>(seq.size())) continue;
-          UpdatePair(seq[i], seq[j], lr);
-        }
-        UpdateAux(seq[i], lr);
-      }
+  // unigram_ is fixed for the rest of training; the sampler replays
+  // rng_.Categorical(unigram_) draw for draw.
+  const CategoricalSampler sampler(unigram_);
+  const size_t max_targets = static_cast<size_t>(config_.negatives) + 1;
+  PlanRing ring(max_targets);
+  // The random stream reads no trained vector, so a second thread draws it
+  // ahead into the ring while this one applies the plans in stream order:
+  // every update sees exactly the vectors it saw when one thread drew and
+  // trained in turn, and rng_ ends where it did.
+  std::thread producer(
+      [&] { StreamPlans(config_, sampler, &corpus, &rng_, &ring); });
+  std::vector<float*> rows(max_targets);
+  std::vector<float> scratch(nn::SgnsScratchFloats(dim_, max_targets));
+  const EdgeId* targets = nullptr;
+  while (const Plan* plan = ring.Pop(&targets)) {
+    if (plan->count == 0) {
+      UpdateAux(plan->center, plan->lr);
+      continue;
     }
+    for (uint32_t t = 0; t < plan->count; ++t) rows[t] = out_.Row(targets[t]);
+    nn::SgnsPairUpdate(in_.Row(plan->center), rows.data(), plan->count,
+                       plan->distinct, static_cast<float>(plan->lr), dim_,
+                       scratch.data());
   }
+  producer.join();
   return in_;
 }
 

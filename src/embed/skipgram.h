@@ -8,7 +8,6 @@
 // speed class (traffic context), trained jointly.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -51,11 +50,6 @@ class SkipGramTrainer {
   std::vector<std::vector<roadnet::EdgeId>> BuildCorpus(
       const traj::Dataset& dataset);
 
-  /// One (center, context) positive update with `negatives` sampled
-  /// negatives (a draw equal to the center or the context is skipped).
-  void UpdatePair(roadnet::EdgeId center, roadnet::EdgeId context,
-                  double lr);
-
   /// Auxiliary step: nudge the center vector toward predicting its road
   /// class (3-way softmax).
   void UpdateAux(roadnet::EdgeId center, double lr);
@@ -68,13 +62,6 @@ class SkipGramTrainer {
   nn::Matrix out_;   // NumEdges x dim
   nn::Matrix aux_w_; // 3 x dim road-class head
   std::vector<double> unigram_;  // negative-sampling distribution (pow 0.75)
-  /// O(1) negative sampler over unigram_, rebuilt by Train after
-  /// BuildCorpus; bit-identical to rng_.Categorical(unigram_).
-  std::unique_ptr<CategoricalSampler> neg_sampler_;
-  // UpdatePair scratch, sized at construction.
-  std::vector<float> grad_in_;            // dim
-  std::vector<roadnet::EdgeId> targets_;  // context + kept negatives
-  std::vector<float> dots_;               // v_in . out_ row, per target
 };
 
 }  // namespace rl4oasd::embed

@@ -1,7 +1,7 @@
 // Percentile-bootstrap confidence intervals for the subtrajectory metrics.
 // The paper reports point estimates only; on synthetic workloads with a few
-// hundred test anomalies, an F1 difference of a few points can be noise —
-// EXPERIMENTS.md quotes these intervals alongside each reproduced table.
+// hundred test anomalies, an F1 difference of a few points can be noise, and
+// these intervals say how wide that noise is.
 //
 // Resampling is at trajectory granularity (the exchangeable unit of the
 // evaluation), with the metric recomputed per resample.

@@ -13,7 +13,7 @@ void WriteTensorPayload(const std::string& name, const nn::Matrix& m,
   w->WriteString(name);
   w->WriteU64(m.rows());
   w->WriteU64(m.cols());
-  for (size_t i = 0; i < m.size(); ++i) w->WriteF32(m.data()[i]);
+  w->WriteF32Array(m.data(), m.size());
 }
 
 Status CheckMagicAndVersion(BinaryReader* r) {
@@ -77,9 +77,7 @@ Status ReadRegistry(BinaryReader* r, nn::ParameterRegistry* registry) {
           std::to_string(rows) + "x" + std::to_string(cols) + ", model " +
           std::to_string(dst.rows()) + "x" + std::to_string(dst.cols()));
     }
-    for (size_t k = 0; k < dst.size(); ++k) {
-      RL4_RETURN_NOT_OK(r->ReadF32(&dst.data()[k]));
-    }
+    RL4_RETURN_NOT_OK(r->ReadF32Array(dst.data(), dst.size()));
     by_name.erase(it);
   }
   // count == by_name initial size and each hit erased one entry, so an empty

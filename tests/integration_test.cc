@@ -19,7 +19,7 @@ using ::rl4oasd::testing::SmallGrid;
 
 core::Rl4OasdConfig FastConfig() {
   core::Rl4OasdConfig cfg;
-  // Workload-tuned thresholds (see DESIGN.md: the synthetic workload has 3
+  // Workload-tuned thresholds (the synthetic workload has 3
   // normal routes per pair with popularity ~0.55/0.27/0.18, so the paper's
   // alpha=0.5/delta=0.4 would flag the 2nd/3rd normal routes).
   cfg.preprocess.alpha = 0.1;

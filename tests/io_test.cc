@@ -5,8 +5,10 @@
 // instead of undefined behaviour.
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <string>
@@ -15,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "common/binary.h"
+#include "common/rng.h"
 #include "core/rl4oasd.h"
 #include "io/checkpoint.h"
 #include "io/dataset_io.h"
@@ -144,6 +147,75 @@ TEST_F(IoTest, Crc32KnownVector) {
   // Standard check value for "123456789" under CRC-32/IEEE.
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+/// The textbook bitwise CRC-32 (reflected, polynomial 0xEDB88320): the
+/// reference the table-driven Crc32 must reproduce.
+uint32_t BitwiseCrc32(const unsigned char* p, size_t n, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST_F(IoTest, Crc32MatchesTheBitwiseReferenceAtAnyLengthAndAlignment) {
+  Rng rng(5);
+  std::vector<unsigned char> bytes(4096 + 16);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.UniformInt(256));
+  for (int trial = 0; trial < 400; ++trial) {
+    // Every start phase of an 8-byte block, short lengths (all tail) and
+    // long ones; a nonzero seed chains two calls.
+    const size_t start = rng.UniformInt(16);
+    const size_t n = trial < 64 ? static_cast<size_t>(trial)
+                                : rng.UniformInt(4096);
+    const uint32_t seed = trial % 3 == 0 ? 0u
+                                         : static_cast<uint32_t>(rng.NextU64());
+    const unsigned char* p = bytes.data() + start;
+    ASSERT_EQ(Crc32(p, n, seed), BitwiseCrc32(p, n, seed))
+        << "start " << start << " length " << n;
+    const size_t cut = n / 3;
+    ASSERT_EQ(Crc32(p + cut, n - cut, Crc32(p, cut, seed)),
+              BitwiseCrc32(p, n, seed))
+        << "chained at " << cut << " of " << n;
+  }
+}
+
+TEST_F(IoTest, FloatArraysRoundTripBitExactly) {
+  const float special[] = {0.0f, -0.0f, std::numeric_limits<float>::infinity(),
+                           std::numeric_limits<float>::quiet_NaN(), 1e-40f,
+                           -3.5f};
+  for (size_t n : {size_t{0}, size_t{1}, size_t{6}, size_t{1000}}) {
+    std::vector<float> v(n);
+    for (size_t i = 0; i < n; ++i) v[i] = special[i % std::size(special)];
+    BinaryWriter w;
+    w.WriteU8(7);  // the floats start unaligned
+    w.WriteF32Array(v.data(), n);
+    // Little-endian on every host: float i's low byte comes first.
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t bits;
+      std::memcpy(&bits, &v[i], 4);
+      ASSERT_EQ(static_cast<unsigned char>(w.buffer()[1 + 4 * i]),
+                bits & 0xFFu);
+    }
+    BinaryReader r(w.buffer());
+    uint8_t tag;
+    ASSERT_TRUE(r.ReadU8(&tag).ok());
+    std::vector<float> back(n, 1.0f);
+    ASSERT_TRUE(r.ReadF32Array(back.data(), n).ok());
+    EXPECT_TRUE(r.AtEnd());
+    EXPECT_EQ(std::memcmp(back.data(), v.data(), n * sizeof(float)), 0);
+    // A short payload fails without writing anything.
+    if (n > 0) {
+      BinaryReader short_r(w.buffer().substr(0, w.size() - 1));
+      ASSERT_TRUE(short_r.ReadU8(&tag).ok());
+      std::vector<float> untouched(n, 1.0f);
+      EXPECT_EQ(short_r.ReadF32Array(untouched.data(), n).code(),
+                StatusCode::kOutOfRange);
+      EXPECT_EQ(untouched, std::vector<float>(n, 1.0f));
+    }
+  }
 }
 
 TEST_F(IoTest, FileRoundTripAndCrcRejection) {

@@ -18,6 +18,7 @@
 #include "nn/embedding.h"
 #include "nn/linear.h"
 #include "nn/lstm.h"
+#include "nn/sgns.h"
 #include "nn/tensor.h"
 
 namespace rl4oasd::nn {
@@ -234,6 +235,59 @@ TEST_P(IsaVariantTest, LstmStepMatchesTheBaselineBitForBit) {
           ASSERT_TRUE(SameBits(CanonicalNaN(got_h), CanonicalNaN(want_h)) &&
                       SameBits(CanonicalNaN(got_c), CanonicalNaN(want_c)))
               << "I " << I << " H " << H << " B " << B << " step " << step;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(IsaVariantTest, SgnsPairUpdateMatchesTheBaselineBitForBit) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float tiny = 1e-40f;  // denormal
+  const float special[] = {0.f, -0.f, inf, -inf, nan, tiny, -tiny};
+  const size_t num_special = std::size(special);
+  Rng rng(47);
+  for (const size_t dim : {1, 7, 8, 16, 32, 33}) {
+    for (size_t count = 1; count <= 13; ++count) {
+      for (const bool distinct : {true, false}) {
+        for (const bool with_special : {false, true}) {
+          // One center row and count target rows; the sequential path also
+          // gets a repeated row, as a repeated negative gives it.
+          auto center = RandomFloats(dim, &rng);
+          auto table = RandomFloats(count * dim, &rng);
+          if (with_special) {
+            center[count % dim] = special[count % num_special];
+            for (size_t t = 0; t < count; t += 2) {
+              table[t * dim + (t + count) % dim] =
+                  special[(t + count + 3) % num_special];
+            }
+          }
+          // Small values keep the finite cases away from saturation, so the
+          // sigmoid's every bit is exercised.
+          for (float& x : table) x *= 0.25f;
+          auto want_center = center, got_center = center;
+          auto want_table = table, got_table = table;
+          std::vector<float*> want_rows(count), got_rows(count);
+          const bool repeat = !distinct && count >= 3;
+          for (size_t t = 0; t < count; ++t) {
+            const size_t row = repeat && t == count - 1 ? 1 : t;
+            want_rows[t] = want_table.data() + row * dim;
+            got_rows[t] = got_table.data() + row * dim;
+          }
+          std::vector<float> scratch(SgnsScratchFloats(dim, count));
+          internal::SgnsPairUpdateOn(internal::Isa::kBaseline,
+                                     want_center.data(), want_rows.data(),
+                                     count, distinct, 0.025f, dim,
+                                     scratch.data());
+          internal::SgnsPairUpdateOn(GetParam(), got_center.data(),
+                                     got_rows.data(), count, distinct, 0.025f,
+                                     dim, scratch.data());
+          ASSERT_TRUE(
+              SameBits(CanonicalNaN(got_center), CanonicalNaN(want_center)) &&
+              SameBits(CanonicalNaN(got_table), CanonicalNaN(want_table)))
+              << "dim " << dim << " count " << count << " distinct "
+              << distinct << " special " << with_special;
         }
       }
     }

@@ -1,5 +1,5 @@
 // oasd_gen: generates a synthetic city road network and a labeled trajectory
-// workload (the DiDi-substitute described in DESIGN.md), writing both to
+// workload (the DiDi substitute described in README.md), writing both to
 // disk for the other tools.
 //
 //   oasd_gen --out-dir data --pairs 200 --anomaly-ratio 0.007
