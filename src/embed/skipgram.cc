@@ -172,8 +172,9 @@ class PlanRing {
   static constexpr int kSpins = 64;
   static constexpr uint64_t kNever = ~uint64_t{0};
 
-  /// Slots: a power of two from 64 to 1,024 whose plans and targets fit in
-  /// 96 KiB, below glibc's default 128 KiB mmap threshold. Freeing an
+  /// Slots: the largest power of two up to 1,024 whose plans and targets
+  /// fit in 96 KiB, below glibc's default 128 KiB mmap threshold; at least
+  /// 64, which outgrows 96 KiB only past ~370 negatives per pair. Freeing an
   /// mmapped block raises glibc's dynamic threshold to its size, which then
   /// changes where every later large allocation of the process lands.
   static size_t SlotsFor(size_t max_targets) {
