@@ -140,7 +140,6 @@ bool Preprocessor::EdgeOnNormalRouteAt(const traj::SdPair& sd,
 }
 
 void Preprocessor::Fit(const traj::Dataset& historical) {
-  ++stats_generation_;
   groups_.clear();
   all_slots_.clear();
   for (const auto& lt : historical.trajs()) {
@@ -159,7 +158,6 @@ void Preprocessor::Update(const traj::MapMatchedTrajectory& t) {
 std::pair<GroupStats*, GroupStats*> Preprocessor::Ingest(
     const traj::MapMatchedTrajectory& t) {
   if (t.edges.size() < 2) return {nullptr, nullptr};
-  ++stats_generation_;
   const GroupKey key{t.sd(),
                      traj::TimeSlotOf(t.start_time, config_.time_slot_hours)};
   GroupStats* slot_group = &groups_[key];
@@ -292,7 +290,6 @@ std::vector<GroupSnapshot> Preprocessor::ExportState() const {
 }
 
 void Preprocessor::ImportState(const std::vector<GroupSnapshot>& snapshots) {
-  ++stats_generation_;
   groups_.clear();
   all_slots_.clear();
   for (const GroupSnapshot& s : snapshots) {

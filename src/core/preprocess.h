@@ -104,13 +104,6 @@ class Preprocessor {
   const PreprocessConfig& config() const { return config_; }
   size_t NumGroups() const { return groups_.size(); }
 
-  /// Monotonic counter bumped whenever the historical statistics change
-  /// (Fit, Update, ImportState). Derived-feature caches (FeatureCache)
-  /// compare generations to know when their memoized NoisyLabels /
-  /// NormalRouteFeatures are stale — the online-learning path funnels all
-  /// drift through Update, so a generation match certifies freshness.
-  uint64_t stats_generation() const { return stats_generation_; }
-
   /// Exports all group statistics in a deterministic order (sorted by SD
   /// pair, then slot; the all-slots aggregates use slot -1). Together with
   /// the config this fully reconstructs the preprocessor.
@@ -162,7 +155,6 @@ class Preprocessor {
   void FinishGroups();
 
   PreprocessConfig config_;
-  uint64_t stats_generation_ = 0;
   std::unordered_map<GroupKey, GroupStats, GroupKeyHash> groups_;
   /// Aggregate over all slots per SD pair (cold-start fallback).
   std::unordered_map<traj::SdPair, GroupStats, traj::SdPairHash> all_slots_;

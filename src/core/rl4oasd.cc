@@ -12,20 +12,6 @@
 
 namespace rl4oasd::core {
 
-namespace {
-
-/// A trajectory with its (main-thread-resolved) cached features: workers
-/// must not touch the FeatureCache, so the feature references are pinned
-/// before sharding. The references stay valid for the whole phase — the
-/// cache is node-based and nothing invalidates it mid-phase.
-struct PretrainItem {
-  const traj::MapMatchedTrajectory* t;
-  const std::vector<uint8_t>* nrf;
-  const std::vector<uint8_t>* labels;
-};
-
-}  // namespace
-
 Rl4Oasd::Rl4Oasd(const roadnet::RoadNetwork* net, Rl4OasdConfig config)
     : net_(net),
       config_(config),
@@ -69,26 +55,42 @@ std::optional<size_t> Rl4Oasd::ParameterCount(const Rl4OasdConfig& config,
   return total;
 }
 
-void Rl4Oasd::PretrainRsr(const traj::Dataset& train,
-                          const std::vector<size_t>& sample) {
+std::vector<const Rl4Oasd::TrainItem*> Rl4Oasd::ItemsOf(
+    const traj::Dataset& data, const std::vector<size_t>& sample,
+    std::vector<TrainItem>* table) const {
+  std::vector<const TrainItem*> items;
+  items.reserve(sample.size());
+  for (size_t idx : sample) {
+    const auto& t = data[idx].traj;
+    if (t.edges.size() < 3) continue;
+    TrainItem& item = (*table)[idx];
+    if (item.t == nullptr) {
+      item.t = &t;
+      item.nrf = preprocessor_.NormalRouteFeatures(t);
+      // Fit's stratification scan may already have filled the labels.
+      if (config_.use_noisy_labels && item.noisy.empty()) {
+        item.noisy = preprocessor_.NoisyLabels(t);
+      }
+    }
+    items.push_back(&item);
+  }
+  return items;
+}
+
+void Rl4Oasd::PretrainRsr(const std::vector<const TrainItem*>& items) {
   const int threads = std::max(1, config_.trainer_threads);
   // The coin-flip ablation draws labels from the shared rng stream per
   // sample, which pins it to the sequential path.
   if (threads == 1 || !config_.use_noisy_labels) {
     for (int epoch = 0; epoch < config_.pretrain_epochs; ++epoch) {
-      for (size_t idx : sample) {
-        const auto& t = train[idx].traj;
-        if (t.edges.size() < 3) continue;
-        // Features come from the cache: the stratification scan already
-        // paid for the noisy labels, and later epochs reuse both vectors.
-        const auto& nrf = features_.NormalRouteFeatures(t);
+      for (const TrainItem* it : items) {
         if (config_.use_noisy_labels) {
-          rsr_->TrainStep(t.edges, nrf, features_.NoisyLabels(t));
+          rsr_->TrainStep(it->t->edges, it->nrf, it->noisy);
         } else {
           // Ablation: replace the warm-start signal with coin flips.
-          std::vector<uint8_t> labels(t.edges.size());
+          std::vector<uint8_t> labels(it->t->edges.size());
           for (auto& l : labels) l = rng_.Bernoulli(0.5) ? 1 : 0;
-          rsr_->TrainStep(t.edges, nrf, labels);
+          rsr_->TrainStep(it->t->edges, it->nrf, labels);
         }
       }
     }
@@ -103,15 +105,8 @@ void Rl4Oasd::PretrainRsr(const traj::Dataset& train,
   // `threads - 1` steps stale. Workers persist across all waves and
   // epochs (two barrier phases per wave: gradients ready, then weights
   // refreshed) — spawning threads per wave would cost more than a short
-  // trajectory's backward pass.
-  std::vector<PretrainItem> items;
-  items.reserve(sample.size());
-  for (size_t idx : sample) {
-    const auto& t = train[idx].traj;
-    if (t.edges.size() < 3) continue;
-    items.push_back({&t, &features_.NormalRouteFeatures(t),
-                     &features_.NoisyLabels(t)});
-  }
+  // trajectory's backward pass. Workers only read the items, which are
+  // built before the shards start.
   if (items.empty()) return;
   std::vector<std::unique_ptr<nn::GradientSink>> sinks;
   for (int w = 0; w < threads; ++w) {
@@ -129,9 +124,8 @@ void Rl4Oasd::PretrainRsr(const traj::Dataset& train,
                      stride](size_t wave, size_t b) {
     const size_t i = (wave % waves_per_epoch) * stride + b;
     if (i >= items.size()) return;
-    const PretrainItem& it = items[i];
-    rsr_->AccumulateGradients(it.t->edges, *it.nrf, *it.labels,
-                              sinks[b].get());
+    const TrainItem& it = *items[i];
+    rsr_->AccumulateGradients(it.t->edges, it.nrf, it.noisy, sinks[b].get());
   };
   std::vector<std::thread> pool;
   pool.reserve(stride - 1);
@@ -157,49 +151,36 @@ void Rl4Oasd::PretrainRsr(const traj::Dataset& train,
   for (auto& th : pool) th.join();
 }
 
-void Rl4Oasd::PretrainAsd(const traj::Dataset& train,
-                          const std::vector<size_t>& sample) {
+void Rl4Oasd::PretrainAsd(const std::vector<const TrainItem*>& items) {
   // Warm-start the policy by imitating the noisy labels (paper: "we specify
   // its actions as the noisy labels"). Multiple epochs of supervised
   // imitation are required: joint REINFORCE training starting from a policy
   // that rarely emits 1s collapses to labeling everything normal.
   //
   // RSRNet's weights are frozen for the whole phase and the imitation
-  // actions are the (cached) noisy labels, so each episode is a pure
-  // function of the trajectory: build every episode once — one RSR forward
-  // per trajectory — and replay the list across epochs. Bit-identical to
-  // recomputing them per epoch, at 1/pretrain_epochs of the forward cost.
-  // With trainer_threads > 1 the (forward-dominated) episode builds shard
-  // across workers by stripe; since nothing mutates during the builds,
-  // even the threaded result is bit-identical to sequential. The tiny
-  // ImitationUpdates stay sequential in sample order.
-  std::vector<PretrainItem> items;
-  static const std::vector<uint8_t> kEmpty;
-  for (size_t idx : sample) {
-    const auto& t = train[idx].traj;
-    if (t.edges.size() < 3) continue;
-    items.push_back({&t, &features_.NormalRouteFeatures(t),
-                     config_.use_noisy_labels ? &features_.NoisyLabels(t)
-                                              : &kEmpty});
-  }
+  // actions are the items' noisy labels (all 0 in the coin-flip ablation),
+  // so each episode is a pure function of the trajectory: build every
+  // episode once — one RSR forward per trajectory — and replay the list
+  // across epochs. Bit-identical to recomputing them per epoch, at
+  // 1/pretrain_epochs of the forward cost. With trainer_threads > 1 the
+  // (forward-dominated) episode builds shard across workers by stripe;
+  // since nothing mutates during the builds, even the threaded result is
+  // bit-identical to sequential. The tiny ImitationUpdates stay sequential
+  // in sample order.
   std::vector<std::vector<AsdStep>> episodes(items.size());
   auto build = [&](size_t i) {
-    const PretrainItem& it = items[i];
+    const TrainItem& it = *items[i];
     const size_t n = it.t->edges.size();
-    std::vector<uint8_t> zero_labels;
-    if (!config_.use_noisy_labels) zero_labels.assign(n, 0);
-    const std::vector<uint8_t>& labels =
-        config_.use_noisy_labels ? *it.labels : zero_labels;
-    const RsrForward fwd = rsr_->Forward(it.t->edges, *it.nrf);
+    const RsrForward fwd = rsr_->Forward(it.t->edges, it.nrf);
     std::vector<AsdStep>& episode = episodes[i];
     int prev_label = 0;
     for (size_t p = 1; p + 1 < n; ++p) {
       AsdStep step;
       step.z = fwd.z[p];
       step.prev_label = prev_label;
-      step.action = labels[p];
+      step.action = config_.use_noisy_labels ? it.noisy[p] : 0;
+      prev_label = step.action;
       episode.push_back(std::move(step));
-      prev_label = labels[p];
     }
   };
   const int threads = std::max(1, config_.trainer_threads);
@@ -264,12 +245,13 @@ std::vector<uint8_t> Rl4Oasd::RolloutLabels(
   return labels;
 }
 
-void Rl4Oasd::JointStep(const traj::MapMatchedTrajectory& t) {
+void Rl4Oasd::JointStep(const TrainItem& item) {
   // One RSR forward per episode: the cached pass feeds the stochastic
   // rollout, the greedy baseline, both reward losses, and (when RSRNet
   // trains in the joint phase) the weight update itself — the weights only
   // move at the very end of the episode, so every reuse is exact.
-  const auto& nrf = features_.NormalRouteFeatures(t);
+  const traj::MapMatchedTrajectory& t = *item.t;
+  const std::vector<uint8_t>& nrf = item.nrf;
   RsrTrainCache fwd_cache;
   const RsrForward& fwd = rsr_->ForwardCached(t.edges, nrf, &fwd_cache);
   std::vector<AsdStep> episode;
@@ -301,8 +283,7 @@ void Rl4Oasd::JointStep(const traj::MapMatchedTrajectory& t) {
       last_mean_reward_ = reward;
       if (config_.train_rsr_in_joint && config_.use_noisy_labels &&
           rng_.Bernoulli(config_.noisy_anchor_prob)) {
-        rsr_->TrainStepCached(t.edges, nrf, features_.NoisyLabels(t),
-                              &fwd_cache);
+        rsr_->TrainStepCached(t.edges, nrf, item.noisy, &fwd_cache);
       }
       return;
     }
@@ -317,8 +298,7 @@ void Rl4Oasd::JointStep(const traj::MapMatchedTrajectory& t) {
   if (config_.train_rsr_in_joint) {
     if (config_.use_noisy_labels &&
         rng_.Bernoulli(config_.noisy_anchor_prob)) {
-      rsr_->TrainStepCached(t.edges, nrf, features_.NoisyLabels(t),
-                            &fwd_cache);
+      rsr_->TrainStepCached(t.edges, nrf, item.noisy, &fwd_cache);
     } else {
       rsr_->TrainStepCached(t.edges, nrf, refined, &fwd_cache);
     }
@@ -354,15 +334,18 @@ void Rl4Oasd::Fit(const traj::Dataset& train) {
   phase.Start();
   const size_t pre_n = std::min<size_t>(config_.pretrain_samples,
                                         train.size());
+  // One feature slot per trajectory of `train`, shared by the warm-start
+  // and joint samples; it goes when Fit returns.
+  std::vector<TrainItem> table(train.size());
   std::vector<size_t> pre_sample;
   if (config_.use_noisy_labels) {
     std::vector<size_t> with_anomaly, without;
     for (size_t i = 0; i < train.size(); ++i) {
       const auto& t = train[i].traj;
       if (t.edges.size() < 3) continue;
-      // Cached: the warm-start epochs below reuse these labels instead of
-      // recomputing them for every sampled trajectory every epoch.
-      const auto& noisy = features_.NoisyLabels(t);
+      // Kept in the table: the sampled items reuse these labels.
+      std::vector<uint8_t>& noisy = table[i].noisy;
+      noisy = preprocessor_.NoisyLabels(t);
       bool any = false;
       for (uint8_t l : noisy) any |= (l != 0);
       (any ? with_anomaly : without).push_back(i);
@@ -381,12 +364,14 @@ void Rl4Oasd::Fit(const traj::Dataset& train) {
     pre_sample = rng_.SampleWithoutReplacement(train.size(), pre_n);
   }
   // The stratification scan above counts toward the RSR warm start (it
-  // resolves the same cached features the epochs consume).
-  PretrainRsr(train, pre_sample);
+  // computes labels the warm-start items reuse).
+  const std::vector<const TrainItem*> pre_items =
+      ItemsOf(train, pre_sample, &table);
+  PretrainRsr(pre_items);
   fit_timings_.pretrain_rsr_s = phase.ElapsedSeconds();
   if (config_.use_asdnet) {
     phase.Start();
-    PretrainAsd(train, pre_sample);
+    PretrainAsd(pre_items);
     fit_timings_.pretrain_asd_s = phase.ElapsedSeconds();
   }
 
@@ -402,11 +387,9 @@ void Rl4Oasd::Fit(const traj::Dataset& train) {
   auto joint_sample = rng_.SampleWithoutReplacement(train.size(), joint_n);
   double reward_sum = 0.0;
   int64_t reward_n = 0;
-  for (size_t idx : joint_sample) {
-    const auto& t = train[idx].traj;
-    if (t.edges.size() < 3) continue;
+  for (const TrainItem* item : ItemsOf(train, joint_sample, &table)) {
     for (int e = 0; e < config_.epochs_per_traj; ++e) {
-      JointStep(t);
+      JointStep(*item);
       reward_sum += last_mean_reward_;
       ++reward_n;
     }
@@ -414,18 +397,6 @@ void Rl4Oasd::Fit(const traj::Dataset& train) {
   if (reward_n > 0) last_mean_reward_ = reward_sum / reward_n;
   fit_timings_.joint_s = phase.ElapsedSeconds();
   fit_timings_.total_s = total.ElapsedSeconds();
-}
-
-void Rl4Oasd::JointTrain(const traj::Dataset& data, int max_samples) {
-  if (config_.transition_frequency_only || !config_.use_asdnet) return;
-  size_t n = data.size();
-  if (max_samples >= 0) n = std::min<size_t>(n, max_samples);
-  auto sample = rng_.SampleWithoutReplacement(data.size(), n);
-  for (size_t idx : sample) {
-    const auto& t = data[idx].traj;
-    if (t.edges.size() < 3) continue;
-    JointStep(t);
-  }
 }
 
 void Rl4Oasd::FineTune(const traj::Dataset& new_data, int max_samples) {
@@ -441,14 +412,13 @@ void Rl4Oasd::FineTune(const traj::Dataset& new_data, int max_samples) {
   auto sample = rng_.SampleWithoutReplacement(new_data.size(), n);
   // The drifted statistics change the noisy labels and NRF features, so the
   // networks re-anchor on them (this is what adapts to concept drift).
-  PretrainRsr(new_data, sample);
+  std::vector<TrainItem> table(new_data.size());
+  const std::vector<const TrainItem*> items =
+      ItemsOf(new_data, sample, &table);
+  PretrainRsr(items);
   if (config_.use_asdnet) {
-    PretrainAsd(new_data, sample);
-    for (size_t idx : sample) {
-      const auto& t = new_data[idx].traj;
-      if (t.edges.size() < 3) continue;
-      JointStep(t);
-    }
+    PretrainAsd(items);
+    for (const TrainItem* item : items) JointStep(*item);
   }
 }
 

@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "core/asdnet.h"
 #include "core/detector.h"
-#include "core/feature_cache.h"
 #include "core/preprocess.h"
 #include "core/rsrnet.h"
 #include "embed/skipgram.h"
@@ -104,11 +103,6 @@ class Rl4Oasd {
   /// embedding pre-training, warm-start pre-training, joint training.
   void Fit(const traj::Dataset& train);
 
-  /// Joint-training pass over (a sample of) the given data without touching
-  /// the historical statistics. Fit() calls this once; callers can invoke it
-  /// again to continue refining the policy.
-  void JointTrain(const traj::Dataset& data, int max_samples = -1);
-
   /// Online learning for concept drift: ingests newly recorded trajectories
   /// into the historical statistics, then fine-tunes on them.
   void FineTune(const traj::Dataset& new_data, int max_samples = -1);
@@ -150,7 +144,7 @@ class Rl4Oasd {
   /// Wall-clock breakdown of the last Fit() call (training-time
   /// observability for oasd_train --time and the Table V bench).
   struct FitTimings {
-    double preprocess_s = 0.0;    // statistics fit + warm-start features
+    double preprocess_s = 0.0;    // statistics fit
     double embed_s = 0.0;         // Toast-substitute skip-gram training
     double pretrain_rsr_s = 0.0;  // RSRNet warm start
     double pretrain_asd_s = 0.0;  // ASDNet imitation warm start
@@ -160,10 +154,27 @@ class Rl4Oasd {
   const FitTimings& fit_timings() const { return fit_timings_; }
 
  private:
+  /// A training trajectory (at least three edges) with the features its
+  /// steps read. The features are pure functions of the trajectory and the
+  /// historical statistics, which do not move inside one Fit or FineTune
+  /// call, so each call computes them once and drops them on return.
+  struct TrainItem {
+    const traj::MapMatchedTrajectory* t = nullptr;
+    std::vector<uint8_t> nrf;
+    std::vector<uint8_t> noisy;  // noisy labels; empty without use_noisy_labels
+  };
+
+  /// The items of `sample`'s trajectories of at least three edges, in sample
+  /// order. `table` holds one slot per trajectory of `data`: a slot's
+  /// features are computed on its first request and shared by later ones.
+  std::vector<const TrainItem*> ItemsOf(const traj::Dataset& data,
+                                        const std::vector<size_t>& sample,
+                                        std::vector<TrainItem>* table) const;
+
   /// One joint-training step on a single trajectory: sample refined labels
   /// with the current policy, compute rewards, REINFORCE-update ASDNet, and
   /// retrain RSRNet on the refined labels.
-  void JointStep(const traj::MapMatchedTrajectory& t);
+  void JointStep(const TrainItem& item);
 
   /// Rolls out labels with the current policy (training-time version of
   /// Algorithm 1; respects RNEL). When `stochastic`, actions are sampled and
@@ -173,20 +184,13 @@ class Rl4Oasd {
                                      const RsrForward& fwd, bool stochastic,
                                      std::vector<AsdStep>* episode);
 
-  void PretrainRsr(const traj::Dataset& train,
-                   const std::vector<size_t>& sample);
-  void PretrainAsd(const traj::Dataset& train,
-                   const std::vector<size_t>& sample);
+  void PretrainRsr(const std::vector<const TrainItem*>& items);
+  void PretrainAsd(const std::vector<const TrainItem*>& items);
 
   const roadnet::RoadNetwork* net_;
   Rl4OasdConfig config_;
   Rng rng_;
   Preprocessor preprocessor_;
-  /// Memoized NoisyLabels / NormalRouteFeatures over preprocessor_ —
-  /// shared by the stratification scan, both pretrain phases, and every
-  /// joint episode; invalidated by generation whenever the preprocessor
-  /// statistics move (Fit / FineTune drift updates).
-  FeatureCache features_{&preprocessor_};
   std::unique_ptr<RsrNet> rsr_;
   std::unique_ptr<AsdNet> asd_;
   std::unique_ptr<OnlineDetector> detector_;

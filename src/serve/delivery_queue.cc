@@ -65,14 +65,8 @@ int64_t AlertDeliveryQueue::EventsDelivered() const {
 std::vector<int64_t> AlertDeliveryQueue::TakeLatencySamplesNs() {
   common::MutexLock lock(&mu_);
   std::vector<int64_t> out;
-  if (latency_wrapped_) {
-    out = latency_ns_;
-  } else {
-    out.assign(latency_ns_.begin(), latency_ns_.begin() +
-                                        static_cast<ptrdiff_t>(latency_next_));
-  }
+  out.swap(latency_ns_);
   latency_next_ = 0;
-  latency_wrapped_ = false;
   return out;
 }
 
@@ -132,13 +126,12 @@ void AlertDeliveryQueue::DrainLoop() {
       Deliver(event);
       const int64_t latency = clock_.ElapsedNanos() - start_ns;
       common::MutexLock lock(&mu_);
+      // Fill to the window, then overwrite the oldest sample.
       if (latency_ns_.size() < kLatencyWindow) {
         latency_ns_.push_back(latency);
-        ++latency_next_;
       } else {
         latency_ns_[latency_next_] = latency;
         latency_next_ = (latency_next_ + 1) % kLatencyWindow;
-        latency_wrapped_ = true;
       }
     }
     {

@@ -89,9 +89,10 @@ class AlertDeliveryQueue {
   /// Events of any kind completed by the drainer (monotonic).
   int64_t EventsDelivered() const;
 
-  /// Drains the enqueue→delivery latency samples collected so far (a
-  /// sliding window of the most recent kLatencyWindow deliveries;
-  /// nanoseconds, unordered). Reporting surface for bench_fleet_soak.
+  /// Drains the enqueue→delivery latency samples collected since the last
+  /// call (the most recent kLatencyWindow of them at most; nanoseconds,
+  /// unordered) and leaves the window empty. Reporting surface for
+  /// bench_fleet_soak.
   std::vector<int64_t> TakeLatencySamplesNs();
 
  private:
@@ -113,10 +114,10 @@ class AlertDeliveryQueue {
   uint64_t next_seq_ RL4OASD_GUARDED_BY(mu_) = 1;
   bool busy_ RL4OASD_GUARDED_BY(mu_) = false;
   bool stop_ RL4OASD_GUARDED_BY(mu_) = false;
-  /// Ring buffer of the last kLatencyWindow delivery latencies.
+  /// Ring buffer of the last kLatencyWindow delivery latencies; once full,
+  /// latency_next_ is the oldest sample, the next to be overwritten.
   std::vector<int64_t> latency_ns_ RL4OASD_GUARDED_BY(mu_);
   size_t latency_next_ RL4OASD_GUARDED_BY(mu_) = 0;
-  bool latency_wrapped_ RL4OASD_GUARDED_BY(mu_) = false;
 
   std::atomic<int64_t> alerts_delivered_{0};
   std::atomic<int64_t> events_delivered_{0};

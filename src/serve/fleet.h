@@ -275,16 +275,6 @@ struct FleetConfig {
   /// Bound on staged points per ingest lane; overflow behavior is
   /// overload_policy. Sized in points: ~24 bytes each.
   size_t ingest_queue_capacity = 8192;
-  /// Adaptive flush age for partial ingest waves, denominated in *points*
-  /// (later submissions to the same lane), never wall time — the repo's
-  /// determinism contract bans clock-driven control flow. 0 (default):
-  /// flush any non-empty lane as soon as its worker is free (lowest
-  /// latency; waves still widen under load because they accumulate behind
-  /// the previous wave). N > 0: hold a sub-micro_batch wave until its
-  /// oldest point has seen N later submissions, trading latency for wider
-  /// fused batches under sparse arrivals. A tail younger than N waits for
-  /// Quiesce()/destruction.
-  size_t ingest_flush_age_points = 0;
   /// Full-lane behavior for Submit/SubmitBatch.
   OverloadPolicy overload_policy = OverloadPolicy::kBlock;
   /// Deliver AlertSink callbacks asynchronously (see the AlertSink contract
@@ -418,7 +408,7 @@ class FleetMonitor {
   //
   // Submit* stage work on bounded per-shard lanes and return; worker
   // threads assemble the staged points into FeedBatch waves adaptively (see
-  // serve/ingest_queue.h for the width/age flush policy and the ordering
+  // serve/ingest_queue.h for the flush policy and the ordering
   // guarantees). Feed/FeedBatch above remain the synchronous reference
   // path: after Quiesce(), a Submit-driven run produces the identical
   // per-vehicle label/alert/trip-end sequences.

@@ -16,8 +16,6 @@ IngestPipeline::IngestPipeline(FleetMonitor* monitor,
                                const FleetConfig& config, size_t num_shards)
     : monitor_(monitor),
       capacity_(std::max<size_t>(config.ingest_queue_capacity, 1)),
-      flush_width_(std::max<size_t>(config.micro_batch, 1)),
-      flush_age_(config.ingest_flush_age_points),
       shed_(config.overload_policy == OverloadPolicy::kShed),
       shard_mask_(num_shards - 1) {
   RL4_CHECK(monitor != nullptr);
@@ -56,17 +54,6 @@ IngestPipeline::Lane& IngestPipeline::LaneOf(int64_t vehicle_id) {
   return *lanes_[shard % lanes_.size()];
 }
 
-bool IngestPipeline::Ripe(const Lane& lane) const {
-  if (lane.staged.empty()) return false;
-  if (lane.flush || lane.stop) return true;
-  if (lane.staged.size() >= flush_width_) return true;
-  // Points-denominated age: how many later submissions the oldest staged
-  // item has seen. flush_age_ == 0 means any non-empty lane is ripe (greedy
-  // low-latency default); larger values hold partial waves back so sparse
-  // arrivals still fuse into wider batches.
-  return lane.submit_seq - lane.staged.front().seq >= flush_age_;
-}
-
 bool IngestPipeline::Stage(Lane& lane, Item item, bool droppable) {
   common::MutexLock lock(&lane.mu);
   if (shed_ && droppable) {
@@ -81,15 +68,14 @@ bool IngestPipeline::Stage(Lane& lane, Item item, bool droppable) {
     if (lane.stop) return false;
   }
   const bool is_point = !item.end_marker;
-  item.seq = lane.submit_seq++;
   lane.staged.push_back(item);
   if (is_point) lane.submitted.fetch_add(1, kRelaxed);
-  if (Ripe(lane)) lane.items_cv.NotifyOne();
+  lane.items_cv.NotifyOne();
   return true;
 }
 
 bool IngestPipeline::Submit(const FleetPoint& point) {
-  return Stage(LaneOf(point.vehicle_id), Item{point, /*end_marker=*/false, 0},
+  return Stage(LaneOf(point.vehicle_id), Item{point, /*end_marker=*/false},
                /*droppable=*/true);
 }
 
@@ -103,19 +89,16 @@ size_t IngestPipeline::SubmitBatch(std::span<const FleetPoint> points) {
 
 void IngestPipeline::SubmitEnd(int64_t vehicle_id) {
   (void)Stage(LaneOf(vehicle_id),
-              Item{FleetPoint{vehicle_id, 0, 0.0}, /*end_marker=*/true, 0},
+              Item{FleetPoint{vehicle_id, 0, 0.0}, /*end_marker=*/true},
               /*droppable=*/false);
 }
 
 void IngestPipeline::Quiesce() {
   for (auto& lane : lanes_) {
     common::MutexLock lock(&lane->mu);
-    lane->flush = true;
-    lane->items_cv.NotifyAll();
     while (!lane->staged.empty() || lane->busy) {
       lane->idle_cv.Wait(&lane->mu);
     }
-    lane->flush = false;
   }
 }
 
@@ -159,7 +142,7 @@ void IngestPipeline::WorkerLoop(Lane* lane) {
     bool stopping = false;
     {
       common::MutexLock lock(&lane->mu);
-      while (!Ripe(*lane) && !lane->stop) {
+      while (lane->staged.empty() && !lane->stop) {
         lane->items_cv.Wait(&lane->mu);
       }
       stopping = lane->stop;

@@ -10,17 +10,11 @@
 // one wave the next one accumulates behind it — and stay width-1 at low
 // load, so latency is never traded away by a fixed batching delay.
 //
-// Flush policy (all points-denominated — no wall clocks, per the repo's
-// determinism contract):
-//   * width:  a lane with >= FleetConfig::micro_batch staged points is ripe;
-//   * age:    with ingest_flush_age_points > 0 a partial wave also ripens
-//             once its oldest staged point has seen that many *later*
-//             submissions to the lane (age measured in points, not seconds);
-//             with the default 0 any non-empty lane is ripe immediately;
-//   * flush:  Quiesce (and the destructor) ripen everything unconditionally.
-// A lane whose age bound never fires (arrivals stopped) holds its tail until
-// Quiesce — callers that want every submitted point processed call
-// FleetMonitor::Quiesce() before reading results.
+// Flush policy: a lane is ripe as soon as it is non-empty — its worker
+// drains it whenever the worker is free, with no timer and no width
+// threshold. Callers that want every submitted point processed before
+// reading results call FleetMonitor::Quiesce(), which waits until every
+// lane is empty and every worker idle.
 //
 // Ordering: a vehicle always maps to the same lane (by shard index), the
 // lane is FIFO, and FeedBatch preserves per-vehicle point order within one
@@ -87,9 +81,6 @@ class IngestPipeline {
   struct Item {
     FleetPoint point;
     bool end_marker = false;
-    /// Lane submission index at staging time: the age of the lane's front
-    /// item is `submit_seq - front.seq` — submissions since it was staged.
-    uint64_t seq = 0;
   };
 
   struct alignas(64) Lane {
@@ -98,17 +89,13 @@ class IngestPipeline {
     common::CondVar space_cv;
     common::CondVar idle_cv;
     std::deque<Item> staged RL4OASD_GUARDED_BY(mu);
-    uint64_t submit_seq RL4OASD_GUARDED_BY(mu) = 0;
     bool busy RL4OASD_GUARDED_BY(mu) = false;
     bool stop RL4OASD_GUARDED_BY(mu) = false;
-    bool flush RL4OASD_GUARDED_BY(mu) = false;
     std::atomic<int64_t> submitted{0};
     std::atomic<int64_t> shed{0};
   };
 
   Lane& LaneOf(int64_t vehicle_id);
-  /// True when the lane has a ripe wave under the width/age/flush policy.
-  bool Ripe(const Lane& lane) const RL4OASD_REQUIRES(lane.mu);
   bool Stage(Lane& lane, Item item, bool droppable);
   void WorkerLoop(Lane* lane);
   /// Feeds a drained wave: FeedBatch over point runs, EndTrip at markers.
@@ -116,8 +103,6 @@ class IngestPipeline {
 
   FleetMonitor* const monitor_;
   const size_t capacity_;
-  const size_t flush_width_;
-  const size_t flush_age_;
   const bool shed_;
   const uint64_t shard_mask_;
   std::vector<std::unique_ptr<Lane>> lanes_;

@@ -4,15 +4,12 @@
 //   * Rl4Oasd::FineTune is deterministic under a fixed seed (two clones
 //     fine-tuned on the same data end up byte-identical);
 //   * max_samples truncates the training pass but never the statistics
-//     ingest (max_samples = 0 equals a pure Preprocessor::Update pass);
-//   * every ingested trajectory bumps Preprocessor::stats_generation(),
-//     which is exactly what invalidates FeatureCache's memoized features.
+//     ingest (max_samples = 0 equals a pure Preprocessor::Update pass).
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/feature_cache.h"
 #include "core/preprocess.h"
 #include "core/rl4oasd.h"
 #include "io/model_io.h"
@@ -119,52 +116,6 @@ TEST_F(FineTuneTest, MaxSamplesTruncatesTrainingButNotStatisticsIngest) {
   auto trained = Clone();
   trained->FineTune(*fresh_, 20);
   EXPECT_NE(io::ModelFingerprint(*trained), io::ModelFingerprint(*truncated));
-}
-
-TEST_F(FineTuneTest, FineTuneBumpsStatsGenerationPerIngestedTrajectory) {
-  auto clone = Clone();
-  const uint64_t before = clone->preprocessor().stats_generation();
-  clone->FineTune(*fresh_, 0);
-  // Every trajectory of >= 2 edges funnels through Update, which bumps the
-  // generation once per call (FeatureCache's invalidation signal).
-  size_t ingestible = 0;
-  for (const auto& lt : fresh_->trajs()) {
-    if (lt.traj.edges.size() >= 2) ++ingestible;
-  }
-  EXPECT_EQ(clone->preprocessor().stats_generation(), before + ingestible);
-}
-
-TEST(FeatureCacheDriftTest, StatsGenerationBumpInvalidatesCachedFeatures) {
-  // Figure 1 worked example: the detour route T3 appears once in history,
-  // so its detour transitions are noisy-labeled anomalous. Flooding the
-  // statistics with T3 trips (the concept-drift scenario: the detour
-  // becomes the popular route) must flip the cached labels.
-  auto ex = testing::MakeFigure1Example();
-  Preprocessor pp({.alpha = 0.2, .delta = 0.3});
-  pp.Fit(ex.dataset);
-
-  FeatureCache cache(&pp);
-  const traj::MapMatchedTrajectory t3{/*id=*/1000, ex.t3, 9 * 3600.0};
-  const std::vector<uint8_t> before = cache.NoisyLabels(t3);
-  ASSERT_EQ(before, pp.NoisyLabels(t3));
-  EXPECT_TRUE(t3.size() > 3 && before[3] == 1)
-      << "detour transitions should start out anomalous";
-  // A warm cache returns the memoized vector while the generation holds.
-  EXPECT_EQ(cache.NoisyLabels(t3), before);
-
-  const uint64_t gen_before = pp.stats_generation();
-  for (int i = 0; i < 30; ++i) {
-    pp.Update(traj::MapMatchedTrajectory{2000 + i, ex.t3, 9 * 3600.0});
-  }
-  EXPECT_GT(pp.stats_generation(), gen_before);
-
-  // The generation bump invalidates the entry: the cache recomputes against
-  // the drifted statistics instead of replaying the stale memo.
-  const std::vector<uint8_t> after = cache.NoisyLabels(t3);
-  EXPECT_EQ(after, pp.NoisyLabels(t3));
-  EXPECT_NE(after, before);
-  EXPECT_EQ(after, std::vector<uint8_t>(t3.size(), 0))
-      << "the now-popular detour should be labeled fully normal";
 }
 
 }  // namespace

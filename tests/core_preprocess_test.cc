@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/feature_cache.h"
-
 #include "test_util.h"
 
 namespace rl4oasd::core {
@@ -147,6 +145,22 @@ TEST_F(PreprocessFigure1Test, UpdateShiftsFractions) {
   const double after = pre.TransitionFractionAt(t.sd(), t.start_time,
                                                 ex_.e["e4"], ex_.e["e11"]);
   EXPECT_GT(after, before);
+
+  // The drift flips the noisy labels: at alpha 0.2 the detour (fraction
+  // 0.1) starts out anomalous, and once 30 more T3 trips make it the
+  // popular route, every position of T3 is labeled normal.
+  Preprocessor drifted({.alpha = 0.2, .delta = 0.3});
+  drifted.Fit(ex_.dataset);
+  const auto labels = drifted.NoisyLabels(t);
+  ASSERT_EQ(labels.size(), ex_.t3.size());
+  EXPECT_EQ(labels[3], 1) << "the detour should start out anomalous";
+  for (int i = 0; i < 30; ++i) {
+    traj::MapMatchedTrajectory extra = t;
+    extra.id = 2000 + i;
+    drifted.Update(extra);
+  }
+  EXPECT_EQ(drifted.NoisyLabels(t), std::vector<uint8_t>(t.edges.size(), 0))
+      << "the now-popular detour should be labeled fully normal";
 }
 
 TEST(PreprocessTest, NumGroupsCountsSlots) {
@@ -155,71 +169,6 @@ TEST(PreprocessTest, NumGroupsCountsSlots) {
   pre.Fit(ex.dataset);
   // All trajectories share one SD pair and one time slot.
   EXPECT_EQ(pre.NumGroups(), 1u);
-}
-
-TEST(PreprocessTest, StatsGenerationAdvancesOnEveryMutation) {
-  auto ex = MakeFigure1Example();
-  Preprocessor pre(PreprocessConfig{});
-  const uint64_t g0 = pre.stats_generation();
-  pre.Fit(ex.dataset);
-  const uint64_t g1 = pre.stats_generation();
-  EXPECT_GT(g1, g0);
-  traj::MapMatchedTrajectory t;
-  t.id = 7;
-  t.start_time = 9 * 3600.0;
-  t.edges = ex.t3;
-  pre.Update(t);
-  EXPECT_GT(pre.stats_generation(), g1);
-  const uint64_t g2 = pre.stats_generation();
-  pre.ImportState(pre.ExportState());
-  EXPECT_GT(pre.stats_generation(), g2);
-}
-
-TEST(FeatureCacheTest, ReturnsCachedValuesAndInvalidatesOnDrift) {
-  auto ex = MakeFigure1Example();
-  PreprocessConfig cfg;
-  cfg.alpha = 0.5;
-  cfg.delta = 0.3;
-  Preprocessor pre(cfg);
-  pre.Fit(ex.dataset);
-  FeatureCache cache(&pre);
-
-  traj::MapMatchedTrajectory t;
-  t.id = 100;
-  t.start_time = 9 * 3600.0 + 1800.0;
-  t.edges = ex.t3;
-
-  // Cached results match direct computation, and repeated lookups return
-  // the same storage (no recompute).
-  const auto& noisy = cache.NoisyLabels(t);
-  const auto& nrf = cache.NormalRouteFeatures(t);
-  EXPECT_EQ(noisy, pre.NoisyLabels(t));
-  EXPECT_EQ(nrf, pre.NormalRouteFeatures(t));
-  EXPECT_EQ(&cache.NoisyLabels(t), &noisy);
-  EXPECT_EQ(&cache.NormalRouteFeatures(t), &nrf);
-  EXPECT_EQ(cache.size(), 1u);
-
-  // Drift: shift the popular transition mass so the statistics (and with
-  // them the noisy labels) move. The generation bump must invalidate the
-  // cached entry and re-derive from the new statistics.
-  const auto before = noisy;
-  for (int i = 0; i < 60; ++i) {
-    traj::MapMatchedTrajectory extra;
-    extra.id = 1000 + i;
-    extra.start_time = t.start_time;
-    extra.edges = ex.t3;
-    pre.Update(extra);
-  }
-  EXPECT_EQ(cache.NoisyLabels(t), pre.NoisyLabels(t));
-  EXPECT_NE(cache.NoisyLabels(t), before)
-      << "drifted statistics should change the labels in this setup";
-
-  // A different trajectory object at the same generation gets its own
-  // entry; the first entry's storage is untouched.
-  traj::MapMatchedTrajectory other = t;
-  other.id = 101;
-  (void)cache.NoisyLabels(other);
-  EXPECT_EQ(cache.size(), 2u);
 }
 
 void ExpectSameState(const std::vector<GroupSnapshot>& got,

@@ -19,10 +19,8 @@
 
 #include <cmath>
 #include <cstring>
-#include <thread>
 #include <vector>
 
-#include "core/feature_cache.h"
 #include "core/preprocess.h"
 #include "core/rl4oasd.h"
 #include "core/rsrnet.h"
@@ -185,51 +183,6 @@ TEST(ParallelPretrainTest, ThreadedFullPipelineTrainsSanely) {
   }
   // The detector must neither flag everything nor collapse to silence.
   EXPECT_GT(flagged, 0u);
-}
-
-TEST(ParallelPretrainTest, FeatureCacheConcurrentLookupsAreSafe) {
-  // Regression for the FeatureCache thread-safety fix: the cache used to
-  // be documented "not thread-safe" while trainer shards could warm
-  // features in parallel. Concurrent mixed lookups (hits, misses, both
-  // feature kinds) over a shared cache must race-cleanly produce exactly
-  // the sequentially computed features. Runs under the TSAN CI job via the
-  // `concurrency` label.
-  const auto net = testing::SmallGrid();
-  const auto data = testing::SmallDataset(net, 4, 0.1);
-  Preprocessor pre(PreprocessConfig{});
-  pre.Fit(data);
-  FeatureCache cache(&pre);
-
-  const auto& trajs = data.trajs();
-  constexpr int kThreads = 4;
-  std::vector<std::vector<int>> mismatches(kThreads);
-  {
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        // Each thread walks the dataset from a different offset, so most
-        // lookups race with another thread's first-touch of the same entry.
-        for (size_t k = 0; k < trajs.size(); ++k) {
-          const size_t i = (k + static_cast<size_t>(t) * trajs.size() /
-                                    kThreads) %
-                           trajs.size();
-          const auto& traj = trajs[i].traj;
-          if (cache.NoisyLabels(traj) != pre.NoisyLabels(traj) ||
-              cache.NormalRouteFeatures(traj) !=
-                  pre.NormalRouteFeatures(traj)) {
-            mismatches[t].push_back(static_cast<int>(i));
-          }
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-  }
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_TRUE(mismatches[t].empty())
-        << "thread " << t << " saw " << mismatches[t].size()
-        << " mismatched feature lookups";
-  }
-  EXPECT_EQ(cache.size(), trajs.size());
 }
 
 }  // namespace

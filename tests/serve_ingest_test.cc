@@ -14,12 +14,14 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "serve/delivery_queue.h"
 #include "serve/fleet.h"
 #include "test_util.h"
 #include "traj/types.h"
@@ -257,10 +259,9 @@ TEST_F(FleetIngestTest, SubmitMatchesFeedReferenceAcrossShards) {
   }
 }
 
-TEST_F(FleetIngestTest, SubmitBatchAndFlushAgeMatchReference) {
-  // SubmitBatch staging plus a nonzero points-denominated flush age (waves
-  // held back until the oldest staged point has seen N later submissions)
-  // must not change per-vehicle results either.
+TEST_F(FleetIngestTest, SubmitBatchMatchesReference) {
+  // SubmitBatch staging in ragged chunks must not change per-vehicle
+  // results either.
   const auto picks = PickTrips(10);
   ASSERT_GE(picks.size(), 8u);
   const auto points = InterleavedStream(picks);
@@ -272,7 +273,6 @@ TEST_F(FleetIngestTest, SubmitBatchAndFlushAgeMatchReference) {
   cfg.num_shards = 4;
   cfg.ingest_workers = 2;  // two lanes, each serving two shards
   cfg.micro_batch = 16;
-  cfg.ingest_flush_age_points = 32;
   cfg.async_alerts = true;
   FleetMonitor monitor(model, cfg, &sink);
   StartAll(&monitor, picks);
@@ -658,6 +658,34 @@ TEST_F(FleetIngestTest, ZeroToleranceGuardStillFinishesTheTrip) {
   EXPECT_EQ(stats.points_rejected, 2);
   EXPECT_EQ(stats.guard_dropout_gaps, 2);
   EXPECT_EQ(stats.trips_finished, 1);
+}
+
+/// Ignores every callback: the delivery-queue cases below count events.
+class NoopSink : public AlertSink {
+ public:
+  void OnAlert(const Alert& /*alert*/) override {}
+};
+
+TEST(AlertDeliveryQueueTest, LatencyWindowWrapsAndTakeLeavesItEmpty) {
+  // The latency ring keeps the last 2^16 samples: past that it overwrites
+  // the oldest in place instead of writing beyond its end, and each Take
+  // returns only what was delivered since the previous one.
+  constexpr size_t kWindow = size_t{1} << 16;
+  NoopSink sink;
+  AlertDeliveryQueue queue(&sink, /*capacity=*/1024);
+  auto deliver = [&queue](size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      DeliveryEvent event;
+      event.kind = DeliveryEvent::Kind::kTripEnd;
+      queue.Enqueue(std::move(event));
+    }
+    queue.Flush();
+  };
+  deliver(kWindow + 2);
+  EXPECT_EQ(queue.TakeLatencySamplesNs().size(), kWindow);
+  deliver(3);
+  EXPECT_EQ(queue.TakeLatencySamplesNs().size(), 3u);
+  EXPECT_EQ(queue.EventsDelivered(), static_cast<int64_t>(kWindow + 5));
 }
 
 }  // namespace
